@@ -64,7 +64,7 @@ struct Measurement
     uint64_t statesPorOff = 0;
     double msPorOff = 0.0;
     double porReductionFactor = 1.0;
-    // Sampled per-phase attribution (--phases, sequential runs only).
+    // Sampled per-phase attribution (--phases), summed over workers.
     verif::CheckResult::PhaseBreakdown phases;
     // Memory footprint: process VmHWM after the run (monotone across
     // configs — read it as "peak so far") and, when the run used the
@@ -537,11 +537,6 @@ main(int argc, char **argv)
                          " [--smoke [baseline.json]]\n";
             return 2;
         }
-    }
-    if (phases) {
-        // Phase attribution samples inside the sequential engine, so
-        // force every sweep run onto it.
-        threads = 1;
     }
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();

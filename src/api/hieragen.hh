@@ -194,7 +194,7 @@ struct JobSpec
     int numCacheH = 1;       ///< hier verification layout
     int numCacheL = 1;
     uint64_t maxStates = 0;  ///< 0 = unbounded
-    unsigned threads = 1;    ///< checker threads (1 = sequential)
+    unsigned threads = 1;    ///< checker workers (1 = deterministic BFS order)
 
     std::string label;       ///< free-form client tag, echoed back
 };

@@ -108,17 +108,47 @@ unquoteJson(const std::string &v)
         return "";
     std::string out;
     out.reserve(v.size() - 2);
-    for (size_t i = 1; i + 1 < v.size(); ++i) {
-        if (v[i] == '\\' && i + 2 < v.size()) {
-            ++i;
-            switch (v[i]) {
-            case 'n': out.push_back('\n'); break;
-            case 't': out.push_back('\t'); break;
-            case 'r': out.push_back('\r'); break;
-            default: out.push_back(v[i]); break;
-            }
-        } else {
+    const size_t end = v.size() - 1;  // the closing quote
+    for (size_t i = 1; i < end; ++i) {
+        if (v[i] != '\\' || i + 1 >= end) {
             out.push_back(v[i]);
+            continue;
+        }
+        switch (v[++i]) {
+        case 'n': out.push_back('\n'); break;
+        case 't': out.push_back('\t'); break;
+        case 'r': out.push_back('\r'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': {
+            // jsonQuote writes control bytes as \u00XX; decode any
+            // BMP code point to UTF-8 (surrogate pairs are out of
+            // scope, as in the service's JSON reader).
+            if (i + 4 >= end)
+                return out;
+            unsigned cp = 0;
+            for (int k = 0; k < 4; ++k) {
+                char h = v[++i];
+                if (!std::isxdigit(static_cast<unsigned char>(h)))
+                    return out;
+                cp = cp << 4 |
+                     static_cast<unsigned>(h <= '9' ? h - '0'
+                                                    : (h | 0x20) - 'a' + 10);
+            }
+            if (cp < 0x80) {
+                out.push_back(static_cast<char>(cp));
+            } else if (cp < 0x800) {
+                out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            } else {
+                out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+                out.push_back(
+                    static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            }
+            break;
+        }
+        default: out.push_back(v[i]); break;  // \" \\ \/
         }
     }
     return out;

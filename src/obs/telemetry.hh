@@ -34,7 +34,7 @@ struct Telemetry
      *  Written from cold paths only (see obs/journal.hh). */
     Journal *journal = nullptr;
 
-    /** Live-status rendezvous: engines register their progress
+    /** Live-status rendezvous: the checker registers its progress
      *  sampler here so an external status socket can snapshot a run
      *  without touching the hot loop; null = disabled. */
     StatusHub *status = nullptr;

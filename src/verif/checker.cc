@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "fsm/printer.hh"
 #include "obs/journal.hh"
@@ -162,30 +160,31 @@ struct Violation
 };
 
 /**
- * Live instrumentation shared by one engine run and the progress
- * sampler thread. With telemetry off (telem_ == nullptr) every hook
- * sits behind on(), so the hot loop pays one predictable branch;
- * with telemetry on each event costs a relaxed add on a sharded
- * Counter or an uncontended atomic. Canonicalization cost is
- * *sampled* (one timed call in 64) so the clock is off the common
- * path; the share is scaled back up in computeProgress()/finalize().
+ * Telemetry side of one engine run, shared with the progress sampler
+ * thread. With telemetry off (telem_ == nullptr) every hook sits
+ * behind on(), so the hot loop pays one predictable branch. The run's
+ * counts (explored, generated, visited, queue, memory) live in the
+ * engine, which publishes them per batch and assembles each progress
+ * sample itself; this class owns only what the engine does not: the
+ * sampled symmetry cost, checkpoint tallies, journal events and the
+ * final metrics. Canonicalization cost is *sampled* (one timed call
+ * in 64) so the clock is off the common path; the share is scaled
+ * back up in computeProgress()/finalize().
  *
- * When the caller supplied no registry but wants a heartbeat, hot
- * counters land in a run-local registry so the sampler still has
- * data; finalize() only publishes to a caller-supplied registry.
+ * When the caller supplied no registry but wants a heartbeat, the
+ * symmetry counters land in a run-local registry so the sampler still
+ * has data; finalize() only publishes to a caller-supplied registry.
  */
 class Instr
 {
   public:
-    Instr(const CheckOptions &opts, unsigned workers, bool tracing)
+    Instr(const CheckOptions &opts, unsigned workers)
         : telem_(opts.telemetry), workers_(workers),
-          tracing_(tracing), maxStates_(opts.maxStates)
+          maxStates_(opts.maxStates)
     {
         if (!telem_)
             return;
         reg_ = telem_->metrics ? telem_->metrics : &localReg_;
-        dedupHits_ = &reg_->counter("checker.dedup_hits");
-        encBytes_ = &reg_->counter("checker.visited_bytes");
         symCalls_ = &reg_->counter("checker.sym_canonicalizations");
         symSampledNs_ = &reg_->counter("checker.sym_sampled_ns");
         symSampledCalls_ =
@@ -231,54 +230,7 @@ class Instr
             j->event(kind, fields);
     }
 
-    /** Make this run's progress sample visible to a status socket.
-     *  The callback must stay valid until unregisterStatus(). */
-    void
-    registerStatus(obs::StatusHub::SampleFn fn)
-    {
-        if (telem_ && telem_->status) {
-            telem_->status->setSampler(std::move(fn));
-            statusRegistered_ = true;
-        }
-    }
-
-    void
-    unregisterStatus()
-    {
-        if (statusRegistered_) {
-            telem_->status->clearSampler();
-            statusRegistered_ = false;
-        }
-    }
-
     // --- Hot-path hooks; call only when on(). ---
-    void
-    noteExplored()
-    {
-        explored_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void
-    noteGenerated()
-    {
-        generated_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void
-    noteFired()
-    {
-        fired_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void noteDedupHit() { dedupHits_->add(1); }
-
-    void
-    noteAccepted(size_t enc_bytes)
-    {
-        visited_.fetch_add(1, std::memory_order_relaxed);
-        encBytes_->add(enc_bytes);
-    }
-
     void noteSymCall() { symCalls_->add(1); }
 
     void
@@ -295,87 +247,16 @@ class Instr
         return (tick++ & 63) == 0;
     }
 
-    void
-    queuePush()
-    {
-        queueDepth_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void
-    queuePop()
-    {
-        queueDepth_.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    void
-    setQueueDepth(uint64_t d)
-    {
-        queueDepth_.store(d, std::memory_order_relaxed);
-    }
-
-    /** Publish live visited-table stats (resident bytes + load
-     *  factor) so heartbeats report measured table memory instead of
-     *  the container-overhead heuristic. Engines refresh this on
-     *  their poll cadence. */
-    void
-    setTableStats(uint64_t bytes, double load_factor)
-    {
-        tableBytes_.store(bytes, std::memory_order_relaxed);
-        tableLoadPermille_.store(
-            static_cast<uint32_t>(load_factor * 1000.0),
-            std::memory_order_relaxed);
-    }
-
-    /** Publish measured frontier bytes (decoded states resident in
-     *  the queue) so the memory estimate stops guessing the frontier
-     *  from the average encoding size. Engines refresh this on their
-     *  poll cadence. */
-    void
-    setFrontierBytes(uint64_t bytes)
-    {
-        frontierBytes_.store(bytes, std::memory_order_relaxed);
-    }
-
-    /** Publish measured trace-arena bytes (tracing mode keeps every
-     *  accepted state resident for counterexample reconstruction).
-     *  Engines refresh on their poll cadence. */
-    void
-    setTraceArenaBytes(uint64_t bytes)
-    {
-        traceArenaBytes_.store(bytes, std::memory_order_relaxed);
-    }
-
-    /** Publish spill-tier activity (visited + frontier combined) for
-     *  the heartbeat. Engines refresh on their poll cadence. */
-    void
-    setSpillStats(const SpillStats &visited, const SpillStats &frontier)
-    {
-        spilledBytes_.store(visited.spilledBytes +
-                                frontier.spilledBytes,
-                            std::memory_order_relaxed);
-        spillSegments_.store(visited.segmentsWritten +
-                                 frontier.segmentsWritten,
-                             std::memory_order_relaxed);
-        diskProbes_.store(visited.diskProbes,
-                          std::memory_order_relaxed);
-        diskHits_.store(visited.diskHits, std::memory_order_relaxed);
-        spillStallNs_.store(visited.stallNs + frontier.stallNs,
-                            std::memory_order_relaxed);
-    }
-
     // --- Checkpoint hooks (cold path; safe with telemetry off). ---
     void
-    noteCheckpointWrite(uint64_t bytes, double ms)
+    noteCheckpointWrite(uint64_t bytes, double ms, uint64_t explored)
     {
         cpWrites_.fetch_add(1, std::memory_order_relaxed);
         cpBytes_.fetch_add(bytes, std::memory_order_relaxed);
-        journalEvent(
-            "checkpoint",
-            {{"bytes", std::to_string(bytes)},
-             {"ms", std::to_string(ms)},
-             {"states_explored",
-              std::to_string(
-                  explored_.load(std::memory_order_relaxed))}});
+        journalEvent("checkpoint",
+                     {{"bytes", std::to_string(bytes)},
+                      {"ms", std::to_string(ms)},
+                      {"states_explored", std::to_string(explored)}});
         if (!telem_ || !reg_)
             return;
         reg_->counter("checkpoint.writes").add(1);
@@ -413,28 +294,12 @@ class Instr
         pub("insert", p.insertPerf);
     }
 
-    // --- Sampler side. ---
-
-    /** Common sample fields; engines overwrite their own counters. */
+    /** The sample fields this class owns; the engine fills the
+     *  exploration counts and memory components. */
     obs::ProgressSample
     baseSample() const
     {
         obs::ProgressSample s;
-        s.statesExplored = explored_.load(std::memory_order_relaxed);
-        s.statesGenerated =
-            generated_.load(std::memory_order_relaxed);
-        s.transitionsFired = fired_.load(std::memory_order_relaxed);
-        s.queueDepth = queueDepth_.load(std::memory_order_relaxed);
-        s.visitedEntries = visited_.load(std::memory_order_relaxed);
-        s.estMemoryBytes = estMemoryBytes(s.queueDepth);
-        s.tableBytes = tableBytes_.load(std::memory_order_relaxed);
-        s.frontierBytes =
-            frontierBytes_.load(std::memory_order_relaxed);
-        s.traceArenaBytes =
-            traceArenaBytes_.load(std::memory_order_relaxed);
-        s.tableLoadFactor =
-            tableLoadPermille_.load(std::memory_order_relaxed) /
-            1000.0;
         s.symSampledNs = symSampledNs_->value();
         s.symSampledCalls = symSampledCalls_->value();
         s.symCalls = symCalls_->value();
@@ -444,57 +309,20 @@ class Instr
             cpWrites_.load(std::memory_order_relaxed);
         s.checkpointBytes = cpBytes_.load(std::memory_order_relaxed);
         s.rssBytes = util::currentRssBytes();
-        s.spilledBytes =
-            spilledBytes_.load(std::memory_order_relaxed);
-        s.spillSegments =
-            spillSegments_.load(std::memory_order_relaxed);
-        s.diskProbes = diskProbes_.load(std::memory_order_relaxed);
-        s.diskProbeHits = diskHits_.load(std::memory_order_relaxed);
-        s.spillStallMs =
-            static_cast<double>(
-                spillStallNs_.load(std::memory_order_relaxed)) /
-            1e6;
         return s;
     }
 
-    /**
-     * Resident-memory estimate, assembled component by component
-     * from *measured* byte accounting wherever an engine has
-     * published it — visited-table bytes (flat slot arrays + arena
-     * chunks, including chunk slack — StateTable::memoryBytes counts
-     * allocated chunks, not used bytes), frontier bytes (both
-     * engines now publish these on every control poll, not only
-     * under spill), and trace-arena bytes in tracing mode. Only a
-     * component with no published measurement yet falls back to the
-     * legacy encodings-plus-overhead heuristic, so the figure the
-     * heartbeat labels `est` tracks `rss` instead of undercounting
-     * it by the whole decoded frontier (the PR 8 divergence).
-     */
-    uint64_t
-    estMemoryBytes(uint64_t queue_depth) const
-    {
-        uint64_t v = visited_.load(std::memory_order_relaxed);
-        uint64_t enc = encBytes_->value();
-        uint64_t avg_state = (v ? enc / v : 0) * 3 + 96;
-        uint64_t table = tableBytes_.load(std::memory_order_relaxed);
-        uint64_t visited_part = table ? table : enc + v * 64;
-        uint64_t fb = frontierBytes_.load(std::memory_order_relaxed);
-        uint64_t est =
-            visited_part + (fb ? fb : queue_depth * avg_state);
-        if (tracing_) {
-            uint64_t arena =
-                traceArenaBytes_.load(std::memory_order_relaxed);
-            est += arena ? arena : v * avg_state;
-        }
-        return est;
-    }
-
+    /** Start the heartbeat and expose @p fn to a status socket. The
+     *  callback must stay valid until finalize(). */
     void
     startProgress(obs::ProgressReporter::SampleFn fn)
     {
         if (!telem_)
             return;
-        registerStatus(fn);
+        if (telem_->status) {
+            telem_->status->setSampler(fn);
+            statusRegistered_ = true;
+        }
         if (telem_->wantsProgress()) {
             reporter_.start(telem_->progressIntervalSec,
                             std::move(fn), reg_, trace(),
@@ -502,14 +330,16 @@ class Instr
         }
     }
 
-    void stopProgress() { reporter_.stop(); }
-
     /** Publish final totals to the caller's registry. */
     void
-    finalize(const CheckResult &r, double wall_ms)
+    finalize(const CheckResult &r, double wall_ms, uint64_t visited,
+             uint64_t visited_bytes)
     {
-        stopProgress();
-        unregisterStatus();
+        reporter_.stop();
+        if (statusRegistered_) {
+            telem_->status->clearSampler();
+            statusRegistered_ = false;
+        }
         if (obs::Journal *j = journal()) {
             j->event(
                 "verdict",
@@ -536,22 +366,24 @@ class Instr
         if (!telem_ || !telem_->metrics)
             return;
         obs::MetricsRegistry &m = *telem_->metrics;
+        uint64_t gen = r.statesGenerated;
+        uint64_t hits = gen > visited ? gen - visited : 0;
         m.gauge("checker.ok").set(r.ok ? 1.0 : 0.0);
         m.counter("checker.states_explored").add(r.statesExplored);
-        m.counter("checker.states_generated").add(r.statesGenerated);
+        m.counter("checker.states_generated").add(gen);
         m.counter("checker.transitions_fired")
             .add(r.transitionsFired);
-        m.counter("checker.visited_entries")
-            .add(visited_.load(std::memory_order_relaxed));
+        m.counter("checker.visited_entries").add(visited);
+        m.counter("checker.visited_bytes").add(visited_bytes);
+        m.counter("checker.dedup_hits").add(hits);
         m.gauge("checker.wall_ms").set(wall_ms);
         m.gauge("checker.states_per_sec")
             .set(wall_ms > 0 ? static_cast<double>(r.statesExplored) *
                                    1e3 / wall_ms
                              : 0.0);
         m.gauge("checker.workers").set(workers_);
-        uint64_t gen = r.statesGenerated;
         m.gauge("checker.dedup_hit_rate")
-            .set(gen ? static_cast<double>(dedupHits_->value()) /
+            .set(gen ? static_cast<double>(hits) /
                            static_cast<double>(gen)
                      : 0.0);
         if (r.spilledToDisk) {
@@ -585,34 +417,17 @@ class Instr
   private:
     obs::Telemetry *telem_ = nullptr;
     const unsigned workers_;
-    const bool tracing_;
     const uint64_t maxStates_;
 
     obs::MetricsRegistry localReg_;  ///< fallback when no registry
     obs::MetricsRegistry *reg_ = nullptr;
-    obs::Counter *dedupHits_ = nullptr;
-    obs::Counter *encBytes_ = nullptr;
     obs::Counter *symCalls_ = nullptr;
     obs::Counter *symSampledNs_ = nullptr;
     obs::Counter *symSampledCalls_ = nullptr;
 
-    std::atomic<uint64_t> explored_{0};
-    std::atomic<uint64_t> generated_{0};
-    std::atomic<uint64_t> fired_{0};
-    std::atomic<uint64_t> visited_{0};
-    std::atomic<uint64_t> queueDepth_{0};
     std::atomic<uint64_t> cpWrites_{0};
     std::atomic<uint64_t> cpBytes_{0};
-    std::atomic<uint64_t> tableBytes_{0};
-    std::atomic<uint32_t> tableLoadPermille_{0};
-    std::atomic<uint64_t> frontierBytes_{0};
-    std::atomic<uint64_t> traceArenaBytes_{0};
     bool statusRegistered_ = false;
-    std::atomic<uint64_t> spilledBytes_{0};
-    std::atomic<uint64_t> spillSegments_{0};
-    std::atomic<uint64_t> diskProbes_{0};
-    std::atomic<uint64_t> diskHits_{0};
-    std::atomic<uint64_t> spillStallNs_{0};
 
     obs::ProgressReporter reporter_;
 };
@@ -1067,21 +882,59 @@ porTryAmple(const PorContext &por, const CheckOptions &opts,
     return PorOutcome::NoAmple;
 }
 
-class Checker
+/**
+ * The exploration engine: breadth-first search over the system's
+ * state graph by numThreads workers (>= 1; worker 0 is the calling
+ * thread). Workers take batches of up to kBatch states from the head
+ * of one FIFO queue, buffer the successors they accept and append
+ * them with one queue-lock acquisition per batch. The visited set is
+ * split by state fingerprint into independently locked shards (one
+ * shard when there is one worker). Counterexample traces come from a
+ * trace arena holding every accepted state with its parent and event
+ * label; in tracing mode the arena's unexpanded tail *is* the queue,
+ * so a state is stored once and expanded in place.
+ *
+ * Order and determinism. A batch is the next kBatch states of the
+ * FIFO and its successors are appended in generation order, so one
+ * worker explores in exactly the classic sequential BFS order: the
+ * same first violation, the same partial counts and the same
+ * shortest counterexample on every run. With more workers the *set*
+ * of expanded states is schedule-independent (membership is a
+ * property of the canonical encoding), so clean runs report
+ * identical statesExplored / statesGenerated / transitionsFired at
+ * every thread count; on a failing run which violation is found
+ * first may vary.
+ *
+ * Control points. Cancellation, the stop flag, the memory watermark
+ * and the checkpoint cadence are checked before the first expansion
+ * and then at the first batch boundary after every kControlEvery
+ * expansions, by whichever worker gets there — a count, not a clock,
+ * so a run sees the same control points however fast it goes. Work
+ * that needs the exploration frozen (a checkpoint, a spill, the
+ * degrade to compaction) runs at a rendezvous: the controlling worker
+ * parks every other worker at its next batch boundary, where it holds
+ * no work, and may then touch the queue, the shards and the census
+ * marks without their locks.
+ *
+ * Stops. The state cap is enforced when a batch is taken, so
+ * statesExplored lands exactly on maxStates. A resumable stop (state
+ * cap, interrupt, memory limit) lets workers finish their current
+ * batch, so the final checkpoint holds the complete frontier; any
+ * other error drops the rest of the batch.
+ */
+class Engine
 {
   public:
-    Checker(const System &sys, const CheckOptions &opts)
-        : sys_(sys), opts_(opts),
+    Engine(const System &sys, const CheckOptions &opts, unsigned threads)
+        : sys_(sys), opts_(opts), numThreads_(threads),
           compaction_(opts.hashCompaction ||
                       (opts.resume &&
                        opts.resume->header.storedAsHashes)),
           spill_(!opts.spillDir.empty()),
           tracing_(opts.traceOnError && !compaction_ && !spill_),
           symmetry_(opts.symmetryReduction && !sys.symClasses.empty()),
-          store_(compaction_ ? StateTable::Mode::Hashes
-                             : StateTable::Mode::Exact,
-                 &tier_),
-          instr_(opts, 1, tracing_), chunker_(instr_.trace(), 1)
+          shardCount_(threads > 1 ? 64 : 1),
+          shards_(new Shard[shardCount_]), instr_(opts, threads)
     {
         if (opts_.partialOrderReduction)
             por_.build(sys_);
@@ -1089,190 +942,300 @@ class Checker
             fingerprint_ = optionsFingerprint(opts_);
             sysHash_ = systemConfigHash(sys_);
         }
-        if (opts_.expectedStates)
-            store_.reserve(opts_.expectedStates);
+        for (size_t i = 0; i < shardCount_; ++i) {
+            shards_[i].store =
+                StateStore(compaction_ ? StateTable::Mode::Hashes
+                                       : StateTable::Mode::Exact,
+                           &tier_);
+            if (opts_.expectedStates)
+                shards_[i].store.reserve(opts_.expectedStates /
+                                             shardCount_ +
+                                         1);
+        }
         if (spill_)
             armSpill(opts_.spillDir);
         if (!opts_.checkpointPath.empty())
-            queue_.retainConsumed(true);
-        if (opts_.phaseTiming) {
-            // Hardware counters ride the same 1-in-8 sample as the
-            // wall clocks; silently absent where perf_event_open is
-            // unusable (container policy, non-Linux).
-            perf_ = std::make_unique<obs::PerfCounterSet>();
-            if (!perf_->available())
-                perf_.reset();
-        }
+            fqueue_.retainConsumed(true);
     }
 
     CheckResult
     run()
     {
         wall_.restart();
-        lastCheckpointMs_ = 0;
-        if (instr_.on()) {
-            if (auto *tw = instr_.trace())
-                tw->setThreadName(1, "checker");
-            instr_.startProgress(
-                [this] { return instr_.baseSample(); });
-        }
-
         if (!spillError_.empty()) {
-            fail(ErrorKind::SpillIo, spillError_, SIZE_MAX);
-            return finish(false);
+            reportError(ErrorKind::SpillIo, spillError_);
+            return finish();
         }
-
         if (opts_.resume) {
             std::string rerr = restoreFrom(*opts_.resume);
             if (!rerr.empty()) {
-                result_.errorKind = ErrorKind::ResumeMismatch;
-                result_.detail = std::move(rerr);
-                return finish(false);
+                reportError(ErrorKind::ResumeMismatch, std::move(rerr));
+                return finish();
             }
         } else {
-            SysState init = initialState(sys_, opts_.accessBudget);
-            tryAdd(std::move(init), SIZE_MAX, "init");
+            seedInitialState();
         }
-
-        while (tracing_ ? head_ < frontier_.size() : !queue_.empty()) {
-            if (!handleControls())
-                return finish(false);
-            if (opts_.maxStates &&
-                result_.statesExplored >= opts_.maxStates) {
-                result_.hitStateLimit = true;
-                stopResumable(ErrorKind::StateLimit,
-                              "exploration capped at " +
-                                  std::to_string(opts_.maxStates) +
-                                  " states");
-                return finish(false);
-            }
-            size_t idx = SIZE_MAX;
-            SysState cur;
-            if (tracing_) {
-                idx = head_++;
-                cur = frontier_[idx];
-            } else {
-                // Without traces no one revisits explored states, so
-                // pop-and-free instead of keeping the whole frontier
-                // resident (halves the memory of big exact runs).
-                // The frontier is spillable: a pop may reload a
-                // segment from disk, and a failed reload loses
-                // states, so it aborts the run.
-                if (!queue_.pop(cur)) {
-                    fail(ErrorKind::SpillIo,
-                         queue_.error().empty()
-                             ? "frontier segment load failed"
-                             : queue_.error(),
-                         SIZE_MAX);
-                    return finish(false);
+        if (instr_.on()) {
+            if (auto *tw = instr_.trace()) {
+                for (unsigned t = 0; t < numThreads_; ++t) {
+                    tw->setThreadName(t + 1, "checker worker " +
+                                                 std::to_string(t));
                 }
             }
-            ++result_.statesExplored;
-            if (instr_.on()) {
-                instr_.noteExplored();
-                instr_.queuePop();
-            }
-
-            size_t successors;
-            if (opts_.phaseTiming && (phaseTick_++ & 7) == 0) {
-                phaseSampling_ = true;
-                obs::PerfCounts p0;
-                if (perf_)
-                    p0 = perf_->read();
-                util::Stopwatch sw;
-                successors = expand(cur, idx);
-                expandNs_ += sw.ns();
-                if (perf_)
-                    expandPerfAcc_ += perf_->read() - p0;
-                ++sampledExpansions_;
-                phaseSampling_ = false;
-            } else {
-                successors = expand(cur, idx);
-            }
-            chunker_.bump();
-            if (result_.errorKind != ErrorKind::None)
-                return finish(false);
-
-            if (successors == 0 && !isTerminalState(sys_, cur)) {
-                fail(ErrorKind::Deadlock, "no enabled event", idx);
-                return finish(false);
-            }
+            instr_.startProgress([this] { return sample(); });
         }
-        return finish(true);
+
+        // The first control point runs before any expansion, on this
+        // thread, as worker 0 of a pool of one.
+        alive_ = 1;
+        controlPoint();
+        alive_ = numThreads_;
+        std::vector<std::thread> helpers;
+        helpers.reserve(numThreads_ - 1);
+        for (unsigned t = 1; t < numThreads_; ++t)
+            helpers.emplace_back([this, t] { workerLoop(t); });
+        workerLoop(0);
+        for (auto &h : helpers)
+            h.join();
+        return finish();
     }
 
   private:
+    static constexpr size_t kBatch = 32;
+    static constexpr uint64_t kControlEvery = 256;
+
+    /** stop_ values: how workers react to a reported error. */
+    enum : uint8_t {
+        kRunning = 0,
+        kDrain = 1,  ///< resumable: finish the batch, then exit
+        kAbort = 2,  ///< drop the rest of the batch
+    };
+
+    struct Shard
+    {
+        std::mutex mu;
+        StateStore store;
+    };
+
+    /** An accepted state with its trace link: the trace arena's
+     *  element, and a worker's buffer of successors awaiting
+     *  enqueue. */
+    struct TraceNode
+    {
+        SysState state;
+        size_t parent;
+        std::string how;
+    };
+
+    /**
+     * The trace arena: append-only, with stable element addresses so
+     * a worker can expand a queued node in place while others append.
+     * Nodes sit in large contiguous chunks because the queue reads
+     * them in order; std::deque's 512-byte blocks scatter them among
+     * the states' own buffers, which cost 3-8% on a one-worker run.
+     */
+    class TraceArena
+    {
+      public:
+        TraceNode &
+        operator[](size_t i)
+        {
+            return chunks_[i >> kShift][i & (kChunk - 1)];
+        }
+
+        size_t size() const { return size_; }
+
+        void
+        push_back(TraceNode &&n)
+        {
+            if (size_ == chunks_.size() * kChunk)
+                chunks_.push_back(std::make_unique<TraceNode[]>(kChunk));
+            (*this)[size_++] = std::move(n);
+        }
+
+        void
+        clear()
+        {
+            chunks_.clear();
+            size_ = 0;
+        }
+
+      private:
+        static constexpr size_t kShift = 10, kChunk = size_t{1} << kShift;
+        std::vector<std::unique_ptr<TraceNode[]>> chunks_;
+        size_t size_ = 0;
+    };
+
+    /** A state taken for expansion. In tracing mode `state` points
+     *  into the trace arena (whose elements never move); otherwise
+     *  into the worker's popped buffer. */
+    struct Item
+    {
+        const SysState *state;
+        size_t node;  ///< arena index (SIZE_MAX when not tracing)
+    };
+
+    /**
+     * Batched-expansion staging. Each successor of one expansion is
+     * executed into a pending slot, encoded, hashed and its probe
+     * prefetched (stage 1); the probes/inserts then run back-to-back
+     * in generation order (stage 2, flushPending), overlapping the
+     * probe's memory latency with the encoding of its siblings. Slots
+     * are pooled so duplicate successors recycle their buffers.
+     */
+    struct PendingSucc
+    {
+        SysState st;
+        std::string enc;
+        uint64_t hash = 0;
+        std::string how;
+    };
+
+    /** Sampled phase attribution (CheckOptions::phaseTiming), kept
+     *  per worker and summed when the worker exits. */
+    struct PhaseAcc
+    {
+        double expandNs = 0, encodeNs = 0, canonNs = 0, insertNs = 0;
+        uint64_t expansions = 0, adds = 0;
+        obs::PerfCounts expandPerf, encodePerf, insertPerf;
+
+        void
+        operator+=(const PhaseAcc &o)
+        {
+            expandNs += o.expandNs;
+            encodeNs += o.encodeNs;
+            canonNs += o.canonNs;
+            insertNs += o.insertNs;
+            expansions += o.expansions;
+            adds += o.adds;
+            expandPerf += o.expandPerf;
+            encodePerf += o.encodePerf;
+            insertPerf += o.insertPerf;
+        }
+    };
+
+    /** Per-worker scratch and counters. The counters are plain and
+     *  are published to the shared totals once per batch. */
+    struct WorkerCtx
+    {
+        std::vector<Item> batch;
+        std::vector<SysState> popped;  ///< batch storage (!tracing)
+        std::vector<TraceNode> accepted;
+        std::vector<char> mask;
+        EncodeScratch esc;  ///< canonicalization buffers
+        std::vector<PendingSucc> pend;  ///< staging slot pool
+        size_t pendCount = 0;  ///< successors staged this expansion
+        unsigned symTick = 0;  ///< 1-in-64 canonicalization sampling
+        uint64_t generated = 0, fired = 0, ample = 0;
+        uint64_t visited = 0, visitedBytes = 0;
+
+        // Phase timing: 1-in-8 expansions are sampled; hardware
+        // counters (null where perf_event_open is unusable) ride the
+        // same sample.
+        bool sampling = false;
+        unsigned phaseTick = 0;
+        util::Stopwatch sw;
+        std::unique_ptr<obs::PerfCounterSet> perf;
+        PhaseAcc phase;
+    };
+
+    struct ErrorSlot
+    {
+        ErrorKind kind = ErrorKind::None;
+        std::string detail;
+        size_t node = SIZE_MAX;
+        std::string how;
+        SysState bad;
+        bool hasBad = false;
+    };
+
+    /** Measured memory components (see footprint()). */
+    struct Footprint
+    {
+        uint64_t table = 0, tier = 0, frontier = 0, arena = 0;
+        bool tracing = false;
+
+        /** Resident estimate: in tracing mode the frontier is part of
+         *  the arena, which keeps every accepted state. */
+        uint64_t
+        total() const
+        {
+            return table + tier + (tracing ? arena : frontier);
+        }
+    };
+
     const System &sys_;
     const CheckOptions &opts_;
-    // Not const: the memory watermark can degrade an exact tracing
-    // run to hash compaction mid-flight, and a resume from a degraded
-    // checkpoint starts that way. spill_ flips on when a resumed
-    // checkpoint references live spill segments.
+    const unsigned numThreads_;
+    // Not const: the degrade flips compaction_ and tracing_ at a
+    // rendezvous, a resume from a degraded checkpoint starts
+    // compacted, and a resume that references spill segments turns
+    // spill_ on (and tracing_ off) before any worker exists.
     bool compaction_;
-    bool spill_;  ///< out-of-core mode armed (spillDir configured)
-    bool tracing_;
+    bool spill_;
+    bool tracing_;  ///< written under qMu_ (the sampler reads it)
     const bool symmetry_;  ///< canonicalize states before dedup
     CheckResult result_;
 
-    // Tracing mode keeps every state (trace reconstruction walks
-    // parent links); otherwise states live only until expanded. The
-    // visited set keeps encodings or 64-bit signatures (compaction)
-    // in a hot table, optionally backed by shared on-disk segments.
-    std::vector<SysState> frontier_;  ///< tracing mode only
-    SpillableFrontier queue_;         ///< non-tracing mode only
-    size_t head_ = 0;
-    SpillTier tier_;    ///< on-disk visited tier (SpillToDisk runs)
-    StateStore store_;  ///< hot visited table over the tier
+    // The spill tier is shared by every shard's store; it mutates only
+    // at a rendezvous or before the workers start.
+    SpillTier tier_;
     std::string spillError_;  ///< latched spill-arming failure
+    std::atomic<uint64_t> tierBytes_{0};  ///< tier_.memoryBytes()
+    // Shard-table totals as of the last measureTables().
+    std::atomic<uint64_t> tableBytes_{0}, tableEntries_{0};
+    std::atomic<uint64_t> tableSlots_{0}, shardsOccupied_{0};
+    const size_t shardCount_;  ///< power of two
+    std::unique_ptr<Shard[]> shards_;
 
-    // Trace support: parent index + event label per frontier entry.
-    std::vector<std::pair<size_t, std::string>> parents_;
+    // The work queue, guarded by qMu_.
+    std::mutex qMu_;
+    std::condition_variable qCv_;
+    TraceArena arena_;  ///< tracing: [head_, end) queued
+    size_t head_ = 0;
+    SpillableFrontier fqueue_;  ///< the queue when not tracing
+    size_t pending_ = 0;  ///< queued + currently-expanding states
+    uint64_t explored_ = 0;  ///< expansions claimed (the state cap)
+    uint64_t nextControl_ = kControlEvery;
+    bool controlling_ = false;  ///< a worker runs a control point
 
-    // Per-run scratch, reused across every expansion. nextScratch_
-    // keeps its vector capacity across duplicate successors, so only
-    // states that are actually new pay an allocation; esc_ carries
-    // the canonicalization buffers across the whole run.
-    std::string encScratch_;
-    std::vector<char> maskScratch_;
-    SysState nextScratch_;
-    EncodeScratch esc_;
+    std::atomic<uint8_t> stop_{kRunning};
+    std::mutex errMu_;
+    bool hasError_ = false;
+    ErrorSlot error_;
+    PhaseAcc phases_;  ///< summed worker attribution; errMu_
+
+    // Run totals, published per batch.
+    std::atomic<uint64_t> generated_{0};
+    std::atomic<uint64_t> fired_{0};
+    std::atomic<uint64_t> ample_{0};
+    std::atomic<uint64_t> visited_{0};
+    std::atomic<uint64_t> visitedBytes_{0};
     PorContext por_;
 
-    Instr instr_;
-    SpanChunker chunker_;
-    util::Stopwatch wall_;
-    unsigned symTick_ = 0;  ///< canonicalization sampling cadence
+    // Rendezvous: the controller raises parkRequest_ and waits until
+    // every other live worker is parked.
+    std::atomic<bool> parkRequest_{false};
+    std::mutex cpMu_;
+    std::condition_variable cpCv_;
+    unsigned parked_ = 0;  ///< cpMu_
+    unsigned alive_ = 0;   ///< workers not yet exited; cpMu_
 
-    // Phase-timing accumulators (opts_.phaseTiming only): sampled
-    // nanoseconds, scaled to run totals in finish().
-    bool phaseSampling_ = false;
-    unsigned phaseTick_ = 0;
-    double expandNs_ = 0, encodeNs_ = 0, canonNs_ = 0, insertNs_ = 0;
-    uint64_t sampledExpansions_ = 0, sampledAdds_ = 0;
-    util::Stopwatch phaseSw_;  ///< reused so untimed adds skip the clock
-    // Hardware counters over the same sample (null when the PMU is
-    // unavailable; wall-clock attribution still fills).
-    std::unique_ptr<obs::PerfCounterSet> perf_;
-    obs::PerfCounts expandPerfAcc_, encodePerfAcc_, insertPerfAcc_;
-
-    // Checkpoint/limit machinery (all zero-cost when unused).
     uint64_t fingerprint_ = 0;
     uint64_t sysHash_ = 0;
-    uint64_t visitedBytes_ = 0;  ///< stored encoding/signature bytes
-    unsigned pollTick_ = 0;
     double lastCheckpointMs_ = 0;
 
-    void
-    fail(ErrorKind kind, const std::string &detail, size_t idx)
+    Instr instr_;
+    util::Stopwatch wall_;
+
+    Shard &
+    shardOf(uint64_t h)
     {
-        result_.errorKind = kind;
-        result_.detail = detail;
-        if (tracing_)
-            buildTrace(idx);
+        return shards_[h & (shardCount_ - 1)];
     }
 
     /** Arm the spill tier and frontier (ctor / spilled-resume path).
-     *  A failure latches into spillError_; run() refuses to start. */
+     *  A failure latches into spillError_. */
     void
     armSpill(const std::string &dir)
     {
@@ -1281,7 +1244,325 @@ class Checker
             return;
         }
         tier_.configure(dir, "visited");
-        queue_.configure(dir, "frontier");
+        fqueue_.configure(dir, "frontier");
+    }
+
+    /** Frontier emptiness/size; caller holds qMu_. */
+    bool
+    queueEmptyLocked() const
+    {
+        return tracing_ ? head_ == arena_.size() : fqueue_.empty();
+    }
+
+    uint64_t
+    queueSizeLocked() const
+    {
+        return tracing_ ? arena_.size() - head_ : fqueue_.size();
+    }
+
+    /** Record the first error and stop the workers: a resumable one
+     *  lets them finish their batch, anything else aborts it. */
+    void
+    reportError(ErrorKind kind, std::string detail,
+                size_t node = SIZE_MAX, std::string how = "",
+                const SysState *bad = nullptr)
+    {
+        {
+            std::lock_guard<std::mutex> lk(errMu_);
+            if (hasError_)
+                return;
+            hasError_ = true;
+            error_.kind = kind;
+            error_.detail = std::move(detail);
+            error_.node = node;
+            error_.how = std::move(how);
+            if (bad) {
+                error_.bad = *bad;
+                error_.hasBad = true;
+            }
+        }
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            stop_.store(errorKindResumable(kind) ? kDrain : kAbort,
+                        std::memory_order_relaxed);
+        }
+        qCv_.notify_all();
+    }
+
+    /** Encode, insert and enqueue the initial state. */
+    void
+    seedInitialState()
+    {
+        WorkerCtx ws;
+        pendSlot(ws).st = initialState(sys_, opts_.accessBudget);
+        stagePending(ws, "init");
+        PendingSucc &p = ws.pend[0];
+        insertVisited(ws, p.hash, p.enc);
+        if (auto v = findViolation(sys_, p.st))
+            reportError(v->kind, v->detail, SIZE_MAX, "init", &p.st);
+        if (tracing_)
+            arena_.push_back({std::move(p.st), SIZE_MAX, "init"});
+        else
+            fqueue_.push(std::move(p.st));
+        pending_ = 1;
+        publishCounts(ws);
+    }
+
+    void
+    publishCounts(WorkerCtx &ws)
+    {
+        auto pub = [](std::atomic<uint64_t> &to, uint64_t &from) {
+            if (from) {
+                to.fetch_add(from, std::memory_order_relaxed);
+                from = 0;
+            }
+        };
+        pub(generated_, ws.generated);
+        pub(fired_, ws.fired);
+        pub(ample_, ws.ample);
+        pub(visited_, ws.visited);
+        pub(visitedBytes_, ws.visitedBytes);
+    }
+
+    void
+    workerLoop(unsigned widx)
+    {
+        WorkerCtx ws;
+        if (opts_.phaseTiming) {
+            // Counters are per thread, so each worker opens its own.
+            ws.perf = std::make_unique<obs::PerfCounterSet>();
+            if (!ws.perf->available())
+                ws.perf.reset();
+        }
+        SpanChunker chunker(instr_.trace(), widx + 1);
+        for (;;) {
+            if (parkRequest_.load(std::memory_order_relaxed))
+                park();
+            bool control = false, capped = false;
+            std::string takeErr;
+            {
+                std::unique_lock<std::mutex> lk(qMu_);
+                qCv_.wait(lk, [this] {
+                    return stop_.load(std::memory_order_relaxed) ||
+                           parkRequest_.load(
+                               std::memory_order_relaxed) ||
+                           !queueEmptyLocked() || pending_ == 0;
+                });
+                if (stop_.load(std::memory_order_relaxed) ||
+                    (queueEmptyLocked() && pending_ == 0)) {
+                    break;
+                }
+                if (parkRequest_.load(std::memory_order_relaxed))
+                    continue;  // park at the loop top
+                if (explored_ >= nextControl_ && !controlling_) {
+                    controlling_ = true;
+                    control = true;
+                    nextControl_ = explored_ + kControlEvery;
+                } else {
+                    capped = !takeBatch(ws, takeErr);
+                }
+            }
+            if (control) {
+                controlPoint();
+                std::lock_guard<std::mutex> lk(qMu_);
+                controlling_ = false;
+                continue;
+            }
+            if (capped) {
+                reportError(ErrorKind::StateLimit,
+                            "exploration capped at " +
+                                std::to_string(opts_.maxStates) +
+                                " states");
+                break;
+            }
+            if (!takeErr.empty()) {
+                reportError(ErrorKind::SpillIo, std::move(takeErr));
+                break;
+            }
+
+            size_t consumed = 0;
+            for (const Item &it : ws.batch) {
+                if (stop_.load(std::memory_order_relaxed) == kAbort)
+                    break;
+                expandSampled(it, ws);
+                // Free a popped state at once, as a pop-and-free loop
+                // would: its buffers, still hot in cache, are what the
+                // next successors allocate.
+                if (!tracing_)
+                    ws.popped[consumed] = SysState();
+                ++consumed;
+                chunker.bump();
+            }
+            flush(ws, consumed);
+        }
+        {
+            std::lock_guard<std::mutex> lk(errMu_);
+            phases_ += ws.phase;
+        }
+        retireWorker();
+    }
+
+    /**
+     * Claim the next batch (caller holds qMu_ and the queue is
+     * non-empty). False when the state cap leaves nothing to claim.
+     * A failed spill-segment load loses states, so it latches
+     * @p err and the run aborts.
+     */
+    bool
+    takeBatch(WorkerCtx &ws, std::string &err)
+    {
+        uint64_t allowed = UINT64_MAX;
+        if (opts_.maxStates) {
+            if (explored_ >= opts_.maxStates)
+                return false;
+            allowed = opts_.maxStates - explored_;
+        }
+        size_t take = static_cast<size_t>(std::min<uint64_t>(
+            std::min<uint64_t>(queueSizeLocked(), kBatch), allowed));
+        ws.batch.clear();
+        if (tracing_) {
+            for (size_t i = 0; i < take; ++i, ++head_)
+                ws.batch.push_back({&arena_[head_].state, head_});
+        } else {
+            ws.popped.resize(take);
+            for (size_t i = 0; i < take; ++i) {
+                if (!fqueue_.pop(ws.popped[i])) {
+                    err = fqueue_.error().empty()
+                              ? "frontier segment load failed"
+                              : fqueue_.error();
+                    take = i;
+                    break;
+                }
+                ws.batch.push_back({&ws.popped[i], SIZE_MAX});
+            }
+        }
+        explored_ += take;
+        return true;
+    }
+
+    /** Publish a batch's successors and retire its items with one
+     *  queue-lock acquisition. Items an abort left unexpanded are
+     *  dropped from the count. */
+    void
+    flush(WorkerCtx &ws, size_t consumed)
+    {
+        publishCounts(ws);
+        bool wake;
+        std::string ferr;
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            explored_ -= ws.batch.size() - consumed;
+            if (tracing_) {
+                for (TraceNode &a : ws.accepted)
+                    arena_.push_back(std::move(a));
+            } else {
+                for (TraceNode &a : ws.accepted)
+                    fqueue_.push(std::move(a.state));
+                ferr = fqueue_.error();
+            }
+            pending_ += ws.accepted.size();
+            pending_ -= ws.batch.size();
+            wake = pending_ == 0 || !queueEmptyLocked();
+        }
+        ws.accepted.clear();
+        if (!ferr.empty())
+            reportError(ErrorKind::SpillIo, std::move(ferr));
+        if (wake)
+            qCv_.notify_all();
+    }
+
+    /** Park at a batch boundary until the controller is done. */
+    void
+    park()
+    {
+        std::unique_lock<std::mutex> lk(cpMu_);
+        ++parked_;
+        cpCv_.notify_all();
+        cpCv_.wait(lk, [this] {
+            return !parkRequest_.load(std::memory_order_relaxed);
+        });
+        --parked_;
+    }
+
+    void
+    retireWorker()
+    {
+        {
+            std::lock_guard<std::mutex> lk(cpMu_);
+            --alive_;
+        }
+        cpCv_.notify_all();
+    }
+
+    /** Run @p fn with every other live worker parked. The caller is
+     *  the controlling worker, at its own batch boundary. */
+    template <typename Fn>
+    void
+    rendezvous(Fn &&fn)
+    {
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            parkRequest_.store(true, std::memory_order_relaxed);
+        }
+        qCv_.notify_all();
+        std::unique_lock<std::mutex> lk(cpMu_);
+        cpCv_.wait(lk, [this] { return parked_ + 1 == alive_; });
+        fn();
+        parkRequest_.store(false, std::memory_order_relaxed);
+        lk.unlock();
+        cpCv_.notify_all();
+    }
+
+    /** One control point (see the class comment). */
+    void
+    controlPoint()
+    {
+        if (opts_.cancel && opts_.cancel->cancelled()) {
+            // Cancellation is terminal: no checkpoint, no resume.
+            std::string why = opts_.cancel->reason();
+            reportError(ErrorKind::Cancelled,
+                        why.empty() ? "cancelled by caller"
+                                    : std::move(why));
+            return;
+        }
+        if (opts_.stopRequested &&
+            opts_.stopRequested->load(std::memory_order_relaxed)) {
+            reportError(ErrorKind::Interrupted,
+                        "stop requested (signal or caller)");
+            return;
+        }
+        if (stop_.load(std::memory_order_relaxed))
+            return;
+        measureTables();
+        if (opts_.maxResidentBytes && !result_.degradedToCompaction &&
+            footprint().total() > opts_.maxResidentBytes) {
+            if (spill_) {
+                // Out-of-core: shed memory, keep exactness, never
+                // abort. The watermark stays armed.
+                if (spillWorthwhile())
+                    rendezvous([this] { spillInQuiescence(); });
+            } else if (opts_.memoryLimitPolicy ==
+                           MemoryLimitPolicy::DegradeToCompaction &&
+                       !compaction_) {
+                rendezvous([this] {
+                    writeCheckpoint();  // emergency pre-degrade snapshot
+                    degradeInQuiescence();  // disarms the watermark
+                });
+            } else {
+                reportError(ErrorKind::MemoryLimit,
+                            "estimated resident memory exceeds " +
+                                std::to_string(
+                                    opts_.maxResidentBytes) +
+                                " bytes");
+                return;
+            }
+        }
+        if (!opts_.checkpointPath.empty() &&
+            !stop_.load(std::memory_order_relaxed) &&
+            wall_.ms() - lastCheckpointMs_ >=
+                opts_.checkpointIntervalSec * 1000.0) {
+            rendezvous([this] { writeCheckpoint(); });
+        }
     }
 
     /** Mean resident bytes per decoded state, from the stored
@@ -1290,13 +1571,106 @@ class Checker
     uint64_t
     avgStateBytes() const
     {
-        uint64_t v = store_.size() + tier_.states();
-        return (v ? visitedBytes_ / v : 0) * 3 + 96;
+        uint64_t v = visited_.load(std::memory_order_relaxed);
+        uint64_t b = visitedBytes_.load(std::memory_order_relaxed);
+        return (v ? b / v : 0) * 3 + 96;
     }
 
-    /** In-memory frontier window target once spilling starts: an
-     *  eighth of the budget, bounded away from thrashing (too small)
-     *  and pointlessness (too large). */
+    /** Re-measure the shard tables for footprint() and the sampler.
+     *  Only a controller (or run() after the workers exit) may call
+     *  this: a lone worker inserts without taking shard locks. */
+    void
+    measureTables()
+    {
+        uint64_t bytes = 0, entries = 0, slots = 0, occupied = 0;
+        for (size_t i = 0; i < shardCount_; ++i) {
+            std::lock_guard<std::mutex> lk(shards_[i].mu);
+            const StateStore &s = shards_[i].store;
+            bytes += s.memoryBytes();
+            entries += s.size();
+            slots += s.capacity();
+            occupied += s.size() > 0;
+        }
+        tableBytes_.store(bytes, std::memory_order_relaxed);
+        tableEntries_.store(entries, std::memory_order_relaxed);
+        tableSlots_.store(slots, std::memory_order_relaxed);
+        shardsOccupied_.store(occupied, std::memory_order_relaxed);
+    }
+
+    /**
+     * Engine-owned memory accounting behind the watermark and the
+     * heartbeat (so the watermark works with telemetry off): shard
+     * table bytes (slot arrays + arena chunks) as of the last
+     * control point, the spill tier's in-memory indexes, and decoded
+     * states at the average state size. Safe from any thread.
+     */
+    Footprint
+    footprint()
+    {
+        Footprint f;
+        f.table = tableBytes_.load(std::memory_order_relaxed);
+        f.tier = tierBytes_.load(std::memory_order_relaxed);
+        uint64_t avg = avgStateBytes();
+        std::lock_guard<std::mutex> lk(qMu_);
+        f.tracing = tracing_;
+        f.frontier = (tracing_ ? arena_.size() - head_
+                               : fqueue_.memStates()) *
+                     avg;
+        f.arena = tracing_ ? arena_.size() * avg : 0;
+        return f;
+    }
+
+    /** Progress sample: engine counts + measured footprint. */
+    obs::ProgressSample
+    sample()
+    {
+        obs::ProgressSample s = instr_.baseSample();
+        Footprint f = footprint();
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            s.statesExplored = explored_;
+            s.queueDepth = queueSizeLocked();
+            SpillStats fs = fqueue_.stats();
+            SpillStats vs = tier_.stats();
+            s.spilledBytes = vs.spilledBytes + fs.spilledBytes;
+            s.spillSegments = vs.segmentsWritten + fs.segmentsWritten;
+            s.diskProbes = vs.diskProbes;
+            s.diskProbeHits = vs.diskHits;
+            s.spillStallMs =
+                static_cast<double>(vs.stallNs + fs.stallNs) / 1e6;
+        }
+        s.statesGenerated = generated_.load(std::memory_order_relaxed);
+        s.transitionsFired = fired_.load(std::memory_order_relaxed);
+        s.visitedEntries = visited_.load(std::memory_order_relaxed);
+        if (shardCount_ > 1) {  // one shard reads as unsharded (0)
+            s.shardCount = shardCount_;
+            s.shardsOccupied =
+                shardsOccupied_.load(std::memory_order_relaxed);
+        }
+        s.tableBytes = f.table;
+        uint64_t slots = tableSlots_.load(std::memory_order_relaxed);
+        s.tableLoadFactor =
+            slots ? static_cast<double>(tableEntries_.load(
+                        std::memory_order_relaxed)) /
+                        static_cast<double>(slots)
+                  : 0.0;
+        s.frontierBytes = f.frontier;
+        s.traceArenaBytes = f.arena;
+        s.estMemoryBytes = f.total();
+        return s;
+    }
+
+    uint64_t
+    minSpillBytes() const
+    {
+        return std::min<uint64_t>(
+            uint64_t{1} << 20,
+            std::max<uint64_t>(opts_.maxResidentBytes / 4, 64u << 10));
+    }
+
+    /** In-memory frontier window once spilling starts: an eighth of
+     *  the budget, bounded away from thrashing (too small) and
+     *  pointlessness (too large). */
     size_t
     frontierWindow() const
     {
@@ -1309,192 +1683,128 @@ class Checker
         return static_cast<size_t>(w);
     }
 
-    /**
-     * SpillToDisk watermark response: flush the hot visited table
-     * into a new sealed segment (when it is worth a segment) and
-     * turn on frontier overflow. Returns false only on spill I/O
-     * failure, which aborts the run — never on memory pressure.
-     */
+    /** Is a spill rendezvous worth the stall? True when the hot tier
+     *  holds a segment's worth of encodings or the frontier overflow
+     *  is not yet armed. */
     bool
-    trySpill()
+    spillWorthwhile()
     {
-        uint64_t kMin = std::min<uint64_t>(
-            uint64_t{1} << 20,
-            std::max<uint64_t>(opts_.maxResidentBytes / 4, 64u << 10));
-        if (!compaction_ && store_.spillableBytes() >= kMin) {
-            const StateTable *t = &store_.hot();
-            std::string err;
-            if (!tier_.spillHot(&t, 1, &err)) {
-                fail(ErrorKind::SpillIo, err, SIZE_MAX);
-                return false;
-            }
-            store_.resetHot();
-            instr_.journalEvent(
-                "spill",
-                {{"spilled_bytes",
-                  std::to_string(tier_.stats().spilledBytes)},
-                 {"segments",
-                  std::to_string(tier_.stats().segmentsWritten)},
-                 {"states_explored",
-                  std::to_string(result_.statesExplored)}});
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            if (!fqueue_.spilling())
+                return true;
         }
-        // The frontier window adapts to the (now known) state size;
-        // repeat calls re-tighten it as the average drifts.
-        queue_.enableSpill(frontierWindow());
-        if (!queue_.error().empty()) {
-            fail(ErrorKind::SpillIo, queue_.error(), SIZE_MAX);
-            return false;
-        }
-        return true;
+        return !compaction_ && tableBytes_.load(std::memory_order_relaxed) >=
+                                   minSpillBytes();
     }
 
     /**
-     * Interrupt / watermark / periodic-checkpoint poll, once per
-     * expansion (the clock and memory estimate run 1-in-256). False
-     * means the run must stop; result_ already holds the verdict.
-     */
-    bool
-    handleControls()
-    {
-        if (opts_.cancel && opts_.cancel->cancelled()) {
-            // Cancellation is terminal: no checkpoint, no resume.
-            std::string why = opts_.cancel->reason();
-            result_.errorKind = ErrorKind::Cancelled;
-            result_.detail =
-                why.empty() ? "cancelled by caller" : std::move(why);
-            return false;
-        }
-        if (opts_.stopRequested &&
-            opts_.stopRequested->load(std::memory_order_relaxed)) {
-            return stopResumable(ErrorKind::Interrupted,
-                                 "stop requested (signal or caller)");
-        }
-        if ((pollTick_++ & 255) != 0)
-            return true;
-        if (instr_.on()) {
-            instr_.setTableStats(store_.memoryBytes() +
-                                     tier_.memoryBytes(),
-                                 store_.loadFactor());
-            // Measured frontier/arena bytes on every poll (not only
-            // under spill) so the heartbeat's `est` figure is built
-            // from real accounting; see Instr::estMemoryBytes.
-            uint64_t avg = avgStateBytes();
-            uint64_t depth = tracing_ ? frontier_.size() - head_
-                                      : queue_.memStates();
-            instr_.setFrontierBytes(depth * avg);
-            if (tracing_)
-                instr_.setTraceArenaBytes(frontier_.size() * avg);
-            if (spill_)
-                instr_.setSpillStats(tier_.stats(), queue_.stats());
-        }
-        if (spill_ && !queue_.error().empty()) {
-            fail(ErrorKind::SpillIo, queue_.error(), SIZE_MAX);
-            return false;
-        }
-        if (opts_.maxResidentBytes && !result_.degradedToCompaction &&
-            memEstimate() > opts_.maxResidentBytes) {
-            if (spill_) {
-                // Out-of-core: shed memory, keep exactness, never
-                // abort. The watermark stays armed for the next
-                // breach.
-                if (!trySpill())
-                    return false;
-            } else if (opts_.memoryLimitPolicy ==
-                           MemoryLimitPolicy::DegradeToCompaction &&
-                       !compaction_) {
-                maybeCheckpoint();  // emergency pre-degrade snapshot
-                degradeToCompaction();  // disarms the watermark
-                instr_.journalEvent(
-                    "degrade",
-                    {{"states_explored",
-                      std::to_string(result_.statesExplored)},
-                     {"visited_entries",
-                      std::to_string(store_.size())}});
-            } else {
-                return stopResumable(
-                    ErrorKind::MemoryLimit,
-                    "estimated resident memory exceeds " +
-                        std::to_string(opts_.maxResidentBytes) +
-                        " bytes");
-            }
-        }
-        if (!opts_.checkpointPath.empty() &&
-            wall_.ms() - lastCheckpointMs_ >=
-                opts_.checkpointIntervalSec * 1000.0) {
-            maybeCheckpoint();
-        }
-        return true;
-    }
-
-    /** Record a resumable abort and flush a final checkpoint. */
-    bool
-    stopResumable(ErrorKind kind, std::string detail)
-    {
-        result_.errorKind = kind;
-        result_.detail = std::move(detail);
-        result_.resumable = true;
-        maybeCheckpoint();
-        return false;
-    }
-
-    /**
-     * Resident-set estimate from engine-owned accounting, so the
-     * watermark works with telemetry off: measured table bytes (flat
-     * slot arrays + arena chunks) + decoded frontier states (several
-     * times their encoding) + the tracing arena, which keeps every
-     * state.
-     */
-    uint64_t
-    memEstimate() const
-    {
-        uint64_t avg = avgStateBytes();
-        uint64_t depth =
-            tracing_ ? frontier_.size() - head_ : queue_.memStates();
-        uint64_t est = store_.memoryBytes() + tier_.memoryBytes() +
-                       depth * avg;
-        if (tracing_)
-            est += frontier_.size() * avg;
-        return est;
-    }
-
-    /**
-     * Convert the exact run to hash compaction in place: encodings
-     * collapse to signatures (the replacement table is pre-sized
-     * from the live cardinality, so the transition is one pass with
-     * no rehash storm), and the tracing frontier/parents (which pin
-     * every visited state) hand their unexpanded tail to the
-     * pop-and-free queue. Verdict semantics from here match a run
-     * started with hashCompaction on.
+     * SpillToDisk watermark response with every other worker parked:
+     * flush all hot tables into one sealed segment, restart them
+     * empty, and (re)arm the frontier overflow. Spill I/O failure
+     * aborts the run ("spill-io") — memory pressure alone never does.
      */
     void
-    degradeToCompaction()
+    spillInQuiescence()
     {
-        StateTable hashes(StateTable::Mode::Hashes);
-        hashes.reserve(store_.size());
-        store_.forEachHotExact([&](const char *data, uint32_t len) {
-            hashes.insertHash(
-                hashState(data, len, opts_.compactionSeed));
-        });
-        store_.replaceHot(std::move(hashes));
-        if (tracing_) {
-            for (size_t i = head_; i < frontier_.size(); ++i)
-                queue_.push(std::move(frontier_[i]));
-            std::vector<SysState>().swap(frontier_);
-            std::vector<std::pair<size_t, std::string>>().swap(
-                parents_);
-            head_ = 0;
-            tracing_ = false;
+        if (!compaction_) {
+            uint64_t hotBytes = 0;
+            for (size_t i = 0; i < shardCount_; ++i)
+                hotBytes += shards_[i].store.spillableBytes();
+            if (hotBytes >= minSpillBytes()) {
+                std::vector<const StateTable *> tabs;
+                for (size_t i = 0; i < shardCount_; ++i)
+                    tabs.push_back(&shards_[i].store.hot());
+                std::string err;
+                if (!tier_.spillHot(tabs.data(), tabs.size(), &err)) {
+                    reportError(ErrorKind::SpillIo, std::move(err));
+                    return;
+                }
+                for (size_t i = 0; i < shardCount_; ++i)
+                    shards_[i].store.resetHot();
+                tierBytes_.store(tier_.memoryBytes(),
+                                 std::memory_order_relaxed);
+                instr_.journalEvent(
+                    "spill",
+                    {{"spilled_bytes",
+                      std::to_string(tier_.stats().spilledBytes)},
+                     {"segments",
+                      std::to_string(tier_.stats().segmentsWritten)},
+                     {"states_explored", std::to_string(explored_)}});
+            }
         }
+        std::string err;
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            fqueue_.enableSpill(frontierWindow());
+            err = fqueue_.error();
+        }
+        if (!err.empty())
+            reportError(ErrorKind::SpillIo, std::move(err));
+    }
+
+    /**
+     * Degrade to hash compaction with every other worker parked:
+     * re-shard each exact encoding by its compaction signature, drop
+     * the encodings, and stop tracing (the unexpanded arena tail moves
+     * to the plain queue). The replacement tables are pre-sized from
+     * the live cardinality, so the transition is one pass with no
+     * rehash storm at the memory watermark.
+     */
+    void
+    degradeInQuiescence()
+    {
+        uint64_t liveStates = 0;
+        for (size_t i = 0; i < shardCount_; ++i)
+            liveStates += shards_[i].store.size();
+        std::vector<StateTable> hashed;
+        hashed.reserve(shardCount_);
+        for (size_t i = 0; i < shardCount_; ++i) {
+            hashed.emplace_back(StateTable::Mode::Hashes);
+            // Signatures spread evenly over shards; leave headroom so
+            // an unlucky shard still avoids a second grow.
+            hashed.back().reserve(liveStates / shardCount_ +
+                                  liveStates / (4 * shardCount_) + 1);
+        }
+        for (size_t i = 0; i < shardCount_; ++i) {
+            shards_[i].store.forEachHotExact(
+                [&](const char *data, uint32_t len) {
+                    uint64_t h =
+                        hashState(data, len, opts_.compactionSeed);
+                    hashed[h & (shardCount_ - 1)].insertHash(h);
+                });
+        }
+        uint64_t total = 0;
+        for (size_t i = 0; i < shardCount_; ++i) {
+            shards_[i].store.replaceHot(std::move(hashed[i]));
+            total += shards_[i].store.size();
+        }
+        {
+            std::lock_guard<std::mutex> lk(qMu_);
+            if (tracing_) {
+                for (size_t i = head_; i < arena_.size(); ++i)
+                    fqueue_.push(std::move(arena_[i].state));
+                arena_.clear();
+                head_ = 0;
+                tracing_ = false;
+            }
+        }
+        visited_.store(total, std::memory_order_relaxed);
+        visitedBytes_.store(total * 8, std::memory_order_relaxed);
         compaction_ = true;
-        visitedBytes_ = store_.size() * 8;
         result_.degradedToCompaction = true;
+        instr_.journalEvent(
+            "degrade",
+            {{"states_explored", std::to_string(explored_)},
+             {"visited_entries", std::to_string(total)}});
     }
 
     /** Snapshot the exploration to opts_.checkpointPath (no-op when
-     *  no path is configured). Failures never abort the run; a
+     *  no path is configured). Runs quiescent: at a rendezvous, or
+     *  after the workers have exited. Failures never abort the run; a
      *  partial write never clobbers the previous checkpoint. */
     void
-    maybeCheckpoint()
+    writeCheckpoint()
     {
         if (opts_.checkpointPath.empty())
             return;
@@ -1506,39 +1816,44 @@ class Checker
         h.storedAsHashes = compaction_;
         h.degraded = result_.degradedToCompaction;
         h.symmetryApplied = symmetry_;
-        h.statesExplored = result_.statesExplored;
-        h.statesGenerated = result_.statesGenerated;
-        h.transitionsFired = result_.transitionsFired;
+        h.statesExplored = explored_;
+        h.statesGenerated = generated_.load();
+        h.transitionsFired = fired_.load();
         w.begin(h);
-        w.beginVisited(store_.size(), compaction_);
-        if (compaction_) {
-            store_.forEachHash([&](uint64_t v) { w.addVisitedHash(v); });
-        } else {
-            store_.forEachHotExact(
-                [&](const char *data, uint32_t len) {
-                    w.addVisitedExact(data, len);
-                });
+        uint64_t vcount = 0;
+        for (size_t i = 0; i < shardCount_; ++i)
+            vcount += shards_[i].store.size();
+        w.beginVisited(vcount, compaction_);
+        for (size_t i = 0; i < shardCount_; ++i) {
+            if (compaction_) {
+                shards_[i].store.forEachHash(
+                    [&](uint64_t v) { w.addVisitedHash(v); });
+            } else {
+                shards_[i].store.forEachHotExact(
+                    [&](const char *data, uint32_t len) {
+                        w.addVisitedExact(data, len);
+                    });
+            }
         }
+        // v3 queue split: in-memory head in the classic frontier
+        // section, the spilled middle by segment reference, the
+        // in-memory tail in its own section (empty sections otherwise,
+        // emitted by commit()).
         if (tracing_) {
-            w.beginFrontier(frontier_.size() - head_);
-            for (size_t i = head_; i < frontier_.size(); ++i)
-                w.addFrontierState(frontier_[i]);
+            w.beginFrontier(arena_.size() - head_);
+            for (size_t i = head_; i < arena_.size(); ++i)
+                w.addFrontierState(arena_[i].state);
         } else {
-            // v3 queue split: in-memory head in the classic frontier
-            // section, the spilled middle by segment reference, the
-            // in-memory tail in its own section. Non-spilling runs
-            // keep everything in the head; commit() emits the empty
-            // v3 sections.
-            w.beginFrontier(queue_.headStates());
-            queue_.forEachHead(
+            w.beginFrontier(fqueue_.headStates());
+            fqueue_.forEachHead(
                 [&](const SysState &st) { w.addFrontierState(st); });
         }
         w.addCensus(sys_);
-        if (!tracing_ && spill_) {
+        if (spill_) {
             w.addSpillSegments(tier_.segmentRefs(),
-                               queue_.segmentRefs());
-            w.beginFrontierTail(queue_.tailStates());
-            queue_.forEachTail(
+                               fqueue_.segmentRefs());
+            w.beginFrontierTail(fqueue_.tailStates());
+            fqueue_.forEachTail(
                 [&](const SysState &st) { w.addFrontierState(st); });
         }
         CheckpointIo io = w.commit();
@@ -1547,35 +1862,34 @@ class Checker
             ++result_.checkpointsWritten;
             result_.checkpointBytes += io.bytes;
             result_.checkpointFile = opts_.checkpointPath;
-            instr_.noteCheckpointWrite(io.bytes, sw.ms());
+            instr_.noteCheckpointWrite(io.bytes, sw.ms(), explored_);
             // The durable snapshot no longer references any frontier
             // segment consumed before it; their files can go now.
             if (spill_)
-                queue_.purgeConsumed();
+                fqueue_.purgeConsumed();
         } else {
             warn("checkpoint write failed: ", io.error);
         }
     }
 
     /** Seed the run from a validated checkpoint instead of the
-     *  initial state (check() has already verified compatibility).
-     *  Returns "" on success; a non-empty string is a refusal reason
-     *  (missing/corrupt spill segment) — run() reports it as
-     *  "resume-mismatch", same as a fingerprint disagreement. */
+     *  initial state (before any worker exists; check() has already
+     *  verified compatibility). Returns "" on success; a non-empty
+     *  string is a refusal reason (missing/corrupt spill segment),
+     *  reported as "resume-mismatch" like a fingerprint mismatch. */
     std::string
     restoreFrom(const CheckpointData &d)
     {
         util::Stopwatch sw;
-        result_.statesExplored = d.header.statesExplored;
-        result_.statesGenerated = d.header.statesGenerated;
-        result_.transitionsFired = d.header.transitionsFired;
-        result_.resumedFromCheckpoint = true;
+        explored_ = d.header.statesExplored;
+        generated_.store(d.header.statesGenerated);
+        fired_.store(d.header.transitionsFired);
         result_.degradedToCompaction = d.header.degraded;
         // A snapshot that references live spill segments resumes in
         // spill mode regardless of this run's flags: the segments are
         // part of the visited set, so the tier must be live to probe
-        // them. The spill directory defaults to where the segments
-        // already are.
+        // them. The directory defaults to where they already live.
+        uint64_t segBytes = 0;
         if (!d.visitedSegments.empty() || !d.frontierSegments.empty()) {
             tracing_ = false;
             spill_ = true;
@@ -1596,1636 +1910,46 @@ class Checker
                 std::string err;
                 if (!tier_.adoptSegment(ref, &err))
                     return err;
-                visitedBytes_ += ref.bytes;
-            }
-        }
-        // Pre-size from the snapshot's cardinality: the restore is
-        // one pass with no rehashes.
-        if (d.header.storedAsHashes) {
-            store_.reserve(d.visitedHashes.size());
-            for (uint64_t h : d.visitedHashes)
-                store_.insertHash(h);
-            visitedBytes_ = store_.size() * 8;
-            if (instr_.on()) {
-                for (uint64_t i = 0; i < store_.size(); ++i)
-                    instr_.noteAccepted(8);
-            }
-        } else {
-            store_.reserve(d.visitedExact.size());
-            for (const std::string &enc : d.visitedExact) {
-                store_.insert(hashState(enc, 0), enc.data(),
-                              static_cast<uint32_t>(enc.size()));
-                visitedBytes_ += enc.size();
-                if (instr_.on())
-                    instr_.noteAccepted(enc.size());
-            }
-        }
-        // Frontier states are already members of the visited set, so
-        // they re-enter the work list without another dedup probe.
-        // In tracing mode they become trace roots: a post-resume
-        // violation's counterexample starts at the resume point.
-        // Restore order (head pushes, segment adoption, tail pushes)
-        // rebuilds the exact FIFO the snapshot recorded.
-        for (const SysState &st : d.frontier) {
-            if (tracing_) {
-                frontier_.push_back(st);
-                parents_.emplace_back(SIZE_MAX, "resumed");
-            } else {
-                queue_.push(SysState(st));
-            }
-        }
-        uint64_t restored = d.frontier.size();
-        for (const SpillSegmentRef &ref : d.frontierSegments) {
-            std::string err;
-            if (!queue_.adoptSegment(ref, &err))
-                return err;
-            restored += ref.states;
-        }
-        for (const SysState &st : d.frontierTail) {
-            queue_.push(SysState(st));
-            ++restored;
-        }
-        if (instr_.on())
-            instr_.setQueueDepth(restored);
-        instr_.noteCheckpointRestore(sw.ms());
-        return "";
-    }
-
-    void
-    buildTrace(size_t idx)
-    {
-        std::vector<std::string> rev;
-        std::vector<std::string> rev_json;
-        while (idx != SIZE_MAX && rev.size() < 200) {
-            rev.push_back(parents_[idx].second + "  =>  " +
-                          describeState(sys_, frontier_[idx]));
-            rev_json.push_back(
-                "{\"event\": " + obs::jsonQuote(parents_[idx].second) +
-                ", \"state\": " +
-                describeStateJson(sys_, frontier_[idx]) + "}");
-            idx = parents_[idx].first;
-        }
-        result_.trace.assign(rev.rbegin(), rev.rend());
-        result_.traceStepsJson.assign(rev_json.rbegin(),
-                                      rev_json.rend());
-    }
-
-    /** Canonicalize (under symmetry reduction) and encode @p st into
-     *  @p out, with the sampled timing attribution the telemetry
-     *  share and the phase breakdown both draw from. */
-    void
-    encodeState(SysState &st, std::string &out)
-    {
-        if (symmetry_) {
-            // Both samplers want the encode/orbit split the scratch
-            // can attribute, so one timed call serves either: the
-            // telemetry share samples the orbit walk only (the cost
-            // symmetry adds on top of the baseline encode), the phase
-            // breakdown takes both halves.
-            bool sym_sample = false;
-            if (instr_.on()) {
-                instr_.noteSymCall();
-                sym_sample = Instr::sampleTick(symTick_);
-            }
-            if (sym_sample || phaseSampling_) {
-                esc_.timeSections = true;
-                esc_.encodeNs = esc_.orbitNs = 0;
-                obs::PerfCounts p0;
-                if (phaseSampling_ && perf_)
-                    p0 = perf_->read();
-                st.encodeCanonicalTo(sys_, out, esc_);
-                esc_.timeSections = false;
-                if (sym_sample)
-                    instr_.noteSymSample(esc_.orbitNs);
-                if (phaseSampling_) {
-                    if (perf_)
-                        encodePerfAcc_ += perf_->read() - p0;
-                    encodeNs_ += static_cast<double>(esc_.encodeNs);
-                    canonNs_ += static_cast<double>(esc_.orbitNs);
-                    ++sampledAdds_;
-                }
-            } else {
-                st.encodeCanonicalTo(sys_, out, esc_);
-            }
-        } else {
-            obs::PerfCounts p0;
-            if (phaseSampling_) {
-                if (perf_)
-                    p0 = perf_->read();
-                phaseSw_.restart();
-            }
-            st.encodeTo(sys_, out, esc_);
-            if (phaseSampling_) {
-                encodeNs_ += phaseSw_.ns();
-                if (perf_)
-                    encodePerfAcc_ += perf_->read() - p0;
-                ++sampledAdds_;
-            }
-        }
-    }
-
-    /** Probe/insert an encoding prepared by encodeState(). True when
-     *  the state is new to the visited set. */
-    bool
-    insertEncoded(uint64_t hash, const std::string &enc)
-    {
-        obs::PerfCounts p0;
-        if (phaseSampling_) {
-            if (perf_)
-                p0 = perf_->read();
-            phaseSw_.restart();
-        }
-        bool fresh =
-            compaction_
-                ? store_.insertHash(hash)
-                : store_.insert(hash, enc.data(),
-                                static_cast<uint32_t>(enc.size()));
-        if (phaseSampling_) {
-            insertNs_ += phaseSw_.ns();
-            if (perf_)
-                insertPerfAcc_ += perf_->read() - p0;
-        }
-        if (!fresh) {
-            if (instr_.on())
-                instr_.noteDedupHit();
-            return false;
-        }
-        visitedBytes_ += compaction_ ? 8 : enc.size();
-        if (instr_.on()) {
-            instr_.noteAccepted(enc.size());
-            instr_.queuePush();
-        }
-        return true;
-    }
-
-    /** Dedup @p st; stores it if new (duplicates are dropped). With
-     *  symmetry reduction the state is first replaced by its orbit
-     *  representative, so dedup, storage, traces and expansion all
-     *  see the canonical form. Invariants are checked on the
-     *  canonical form before the push — the spillable frontier may
-     *  move the state straight to disk, so no stored reference
-     *  outlives this call. Returns false only when a violation was
-     *  recorded. */
-    bool
-    tryAdd(SysState &&st, size_t parent, const std::string &how)
-    {
-        ++result_.statesGenerated;
-        if (instr_.on())
-            instr_.noteGenerated();
-        encodeState(st, encScratch_);
-        if (!insertEncoded(hashState(encScratch_,
-                                     compaction_
-                                         ? opts_.compactionSeed
-                                         : 0),
-                           encScratch_))
-            return true;
-        bool clean = checkInvariants(st, parent, how);
-        if (tracing_) {
-            frontier_.push_back(std::move(st));
-            parents_.emplace_back(parent, how);
-        } else {
-            queue_.push(std::move(st));
-        }
-        return clean;
-    }
-
-    /**
-     * Batched-expansion staging. Each successor of one expansion is
-     * executed into a pending slot, encoded, hashed and its visited-
-     * table probe group prefetched (stage 1); the probes/inserts then
-     * run back-to-back in generation order (stage 2, flushPending).
-     * The prefetch issued per successor overlaps the probe's main-
-     * memory latency with the encoding work for its siblings. Slots
-     * are pooled so duplicate successors recycle their buffers, same
-     * as the single nextScratch_ did before batching.
-     */
-    struct PendingSucc
-    {
-        SysState st;
-        std::string enc;
-        uint64_t hash = 0;
-        std::string how;
-    };
-
-    std::vector<PendingSucc> pend_;  ///< batched-expansion slot pool
-    size_t pendCount_ = 0;  ///< successors staged this expansion
-
-    /** The slot the next successor executes into (not yet staged). */
-    PendingSucc &
-    pendSlot()
-    {
-        if (pendCount_ == pend_.size())
-            pend_.emplace_back();
-        return pend_[pendCount_];
-    }
-
-    /** Stage 1 commit: encode/hash/prefetch the state sitting in
-     *  pendSlot() and queue it for flushPending(). */
-    void
-    stagePending(std::string &&how)
-    {
-        PendingSucc &p = pend_[pendCount_++];
-        p.how = std::move(how);
-        ++result_.statesGenerated;
-        if (instr_.on())
-            instr_.noteGenerated();
-        encodeState(p.st, p.enc);
-        p.hash = hashState(
-            p.enc, compaction_ ? opts_.compactionSeed : 0);
-        store_.prefetch(p.hash);
-    }
-
-    /** Stage 2: probe/insert every staged successor in generation
-     *  order; fresh ones are stored and invariant-checked. Returns
-     *  false when a violation was recorded (the remaining staged
-     *  states are dropped, matching the unbatched early return). */
-    bool
-    flushPending(size_t parent)
-    {
-        bool clean = true;
-        for (size_t pi = 0; pi < pendCount_ && clean; ++pi) {
-            PendingSucc &p = pend_[pi];
-            if (!insertEncoded(p.hash, p.enc))
-                continue;
-            // Check before the push: the spillable frontier may move
-            // the state to disk immediately, and encodeState already
-            // canonicalized it in place, so this sees the stored
-            // form.
-            if (!checkInvariants(p.st, parent, p.how))
-                clean = false;
-            if (tracing_) {
-                frontier_.push_back(std::move(p.st));
-                parents_.emplace_back(parent, p.how);
-            } else {
-                queue_.push(std::move(p.st));
-            }
-        }
-        pendCount_ = 0;
-        return clean;
-    }
-
-    /** Check state invariants; records failure and returns false. */
-    bool
-    checkInvariants(const SysState &st, size_t parent,
-                    const std::string &how)
-    {
-        if (auto v = findViolation(sys_, st)) {
-            failAfter(v->kind, v->detail, parent, how, st);
-            return false;
-        }
-        return true;
-    }
-
-    void
-    failAfter(ErrorKind kind, const std::string &detail,
-              size_t parent, const std::string &how, const SysState &bad)
-    {
-        result_.errorKind = kind;
-        result_.detail = detail;
-        if (tracing_) {
-            buildTrace(parent);
-            result_.trace.push_back(how + "  =>  " +
-                                    describeState(sys_, bad));
-            result_.traceStepsJson.push_back(
-                "{\"event\": " + obs::jsonQuote(how) +
-                ", \"state\": " + describeStateJson(sys_, bad) + "}");
-        }
-    }
-
-    /** Generate all successors of @p cur; returns how many exist. */
-    size_t
-    expand(const SysState &cur, size_t idx)
-    {
-        size_t successors = 0;
-
-        // 1. Message deliveries.
-        cur.deliverableMask(*sys_.msgs, maskScratch_);
-
-        // 1a. Partial-order reduction: when one delivery provably
-        // commutes with everything else enabled here, it is the only
-        // successor explored from this state.
-        if (por_.enabled) {
-            size_t ampleIdx = SIZE_MAX;
-            std::string perr;
-            switch (porTryAmple(por_, opts_, cur, maskScratch_,
-                                nextScratch_, ampleIdx, perr)) {
-            case PorOutcome::Error:
-                fail(ErrorKind::ProtocolError, perr, idx);
-                return successors;
-            case PorOutcome::Ample: {
-                ++result_.ampleExpansions;
-                ++result_.transitionsFired;
-                if (instr_.on())
-                    instr_.noteFired();
-                std::string how;
-                if (tracing_) {
-                    const Msg &msg = cur.msgs[ampleIdx];
-                    how = "deliver " +
-                          sys_.msgs->displayName(msg.type) + " " +
-                          std::to_string(msg.src) + "->" +
-                          std::to_string(msg.dst) + " [ample]";
-                }
-                tryAdd(std::move(nextScratch_), idx, how);
-                return 1;
-            }
-            case PorOutcome::NoAmple:
-                break;
-            }
-        }
-
-        for (size_t mi = 0; mi < cur.msgs.size(); ++mi) {
-            if (!maskScratch_[mi])
-                continue;  // blocked behind an older ordered message
-            const Msg msg = cur.msgs[mi];
-            const NodeCtx &dst = sys_.nodes[msg.dst];
-
-            SysState &next = pendSlot().st;
-            next.assignWithoutMsg(cur, mi);
-            StateEnv env;
-            env.state = &next;
-            StepResult r =
-                deliverMsg(dst, *sys_.msgs, next.blocks[msg.dst], msg,
-                           env, opts_.markReached);
-            if (r == StepResult::Error || env.failed) {
-                // Earlier siblings flush first, so a violation among
-                // them still wins (the order the unbatched loop
-                // reported in).
-                if (flushPending(idx))
-                    fail(ErrorKind::ProtocolError, env.errorMsg, idx);
-                return successors;
-            }
-            if (r == StepResult::Stalled)
-                continue;
-            ++successors;
-            ++result_.transitionsFired;
-            if (instr_.on())
-                instr_.noteFired();
-            std::string how;
-            if (tracing_) {
-                how = "deliver " + sys_.msgs->displayName(msg.type) +
-                      " " + std::to_string(msg.src) + "->" +
-                      std::to_string(msg.dst);
-            }
-            stagePending(std::move(how));
-        }
-
-        // 2. Core accesses.
-        bool accesses_allowed =
-            !opts_.atomicTransactions || cur.quiescent(sys_);
-        if (accesses_allowed) {
-            for (size_t li = 0; li < sys_.leafCaches.size(); ++li) {
-                if (cur.budget[li] == 0)
-                    continue;
-                NodeId c = sys_.leafCaches[li];
-                const NodeCtx &node = sys_.nodes[c];
-                for (Access a : {Access::Load, Access::Store,
-                                 Access::Evict}) {
-                    EventKey ev = EventKey::mkAccess(a);
-                    if (!node.machine->hasTransition(
-                            cur.blocks[c].state, ev)) {
-                        continue;
-                    }
-                    SysState &next = pendSlot().st;
-                    next = cur;
-                    next.budget[li] -= 1;
-                    StateEnv env;
-                    env.state = &next;
-                    StepResult r = deliverEvent(
-                        node, *sys_.msgs, next.blocks[c], ev, nullptr,
-                        env, opts_.markReached);
-                    if (r == StepResult::Error || env.failed) {
-                        if (flushPending(idx))
-                            fail(ErrorKind::ProtocolError, env.errorMsg, idx);
-                        return successors;
-                    }
-                    if (r == StepResult::Stalled)
-                        continue;
-                    ++successors;
-                    ++result_.transitionsFired;
-                    if (instr_.on())
-                        instr_.noteFired();
-                    std::string how;
-                    if (tracing_) {
-                        how = "core " + std::to_string(c) + ": " +
-                              toString(a);
-                    }
-                    stagePending(std::move(how));
-                }
-            }
-        }
-        flushPending(idx);
-        return successors;
-    }
-
-    CheckResult
-    finish(bool ok)
-    {
-        result_.ok = ok && result_.errorKind == ErrorKind::None;
-        result_.symmetryReduction = symmetry_;
-        result_.partialOrderReduction = por_.enabled;
-        result_.hashCompaction = compaction_;
-        if (compaction_) {
-            // Stern–Dill style bound: expected omitted states is about
-            // n^2 / 2^b for n states hashed into b-bit signatures.
-            double n = static_cast<double>(result_.statesGenerated);
-            result_.omissionProbability = n * n / 1.8446744e19;
-        }
-        if (opts_.phaseTiming && sampledExpansions_ > 0) {
-            // Scale the 1-in-8 samples back to run totals.
-            double expandScale =
-                static_cast<double>(result_.statesExplored) /
-                static_cast<double>(sampledExpansions_);
-            double addScale =
-                sampledAdds_
-                    ? static_cast<double>(result_.statesGenerated) /
-                          static_cast<double>(sampledAdds_)
-                    : 0.0;
-            result_.phases.enabled = true;
-            result_.phases.expandMs = expandNs_ * expandScale / 1e6;
-            result_.phases.encodeMs = encodeNs_ * addScale / 1e6;
-            result_.phases.canonicalizeMs =
-                canonNs_ * addScale / 1e6;
-            result_.phases.insertMs = insertNs_ * addScale / 1e6;
-            result_.phases.sampledExpansions = sampledExpansions_;
-            if (perf_ && expandPerfAcc_.valid) {
-                auto scale = [](const obs::PerfCounts &c, double f) {
-                    CheckResult::PhaseBreakdown::PerfSample s;
-                    s.cycles = static_cast<uint64_t>(
-                        static_cast<double>(c.cycles) * f);
-                    s.instructions = static_cast<uint64_t>(
-                        static_cast<double>(c.instructions) * f);
-                    s.cacheMisses = static_cast<uint64_t>(
-                        static_cast<double>(c.cacheMisses) * f);
-                    s.branchMisses = static_cast<uint64_t>(
-                        static_cast<double>(c.branchMisses) * f);
-                    return s;
-                };
-                result_.phases.perfEnabled = true;
-                result_.phases.expandPerf =
-                    scale(expandPerfAcc_, expandScale);
-                result_.phases.encodePerf =
-                    scale(encodePerfAcc_, addScale);
-                result_.phases.insertPerf =
-                    scale(insertPerfAcc_, addScale);
-                if (instr_.on()) {
-                    instr_.publishPerf(result_.phases);
-                }
-                instr_.journalEvent(
-                    "perf",
-                    {{"expand_cycles",
-                      std::to_string(
-                          result_.phases.expandPerf.cycles)},
-                     {"expand_instructions",
-                      std::to_string(
-                          result_.phases.expandPerf.instructions)},
-                     {"expand_cache_misses",
-                      std::to_string(
-                          result_.phases.expandPerf.cacheMisses)},
-                     {"encode_cycles",
-                      std::to_string(
-                          result_.phases.encodePerf.cycles)},
-                     {"insert_cycles",
-                      std::to_string(
-                          result_.phases.insertPerf.cycles)}});
-            }
-        }
-        if (spill_) {
-            SpillStats vs = tier_.stats();
-            const SpillStats &fs = queue_.stats();
-            result_.spilledToDisk =
-                vs.segmentsWritten + fs.segmentsWritten > 0 ||
-                tier_.states() > 0;
-            result_.spilledBytes = vs.spilledBytes + fs.spilledBytes;
-            result_.spillSegmentsWritten =
-                vs.segmentsWritten + fs.segmentsWritten;
-            result_.diskProbes = vs.diskProbes;
-            result_.diskProbeHits = vs.diskHits;
-            result_.spillStallMs =
-                static_cast<double>(vs.stallNs + fs.stallNs) / 1e6;
-            // Segment files outlive the run only while a durable
-            // checkpoint references them; otherwise (clean verdict,
-            // violation, no checkpoint configured) they go now.
-            bool keep =
-                result_.resumable && result_.checkpointsWritten > 0;
-            if (!keep) {
-                tier_.removeSegmentFiles();
-                queue_.removeSegmentFiles();
-            }
-        }
-        result_.peakRssBytes = util::peakRssBytes();
-        chunker_.flush();
-        instr_.finalize(result_, wall_.ms());
-        return result_;
-    }
-};
-
-/**
- * Multi-threaded exploration. Workers pull batches of states from a
- * shared queue; the visited set is sharded by state hash into
- * independently locked shards; successors are buffered per batch so
- * each worker touches the queue lock once per batch, not once per
- * state. Counterexample traces still work: accepted states are also
- * appended to a trace arena holding (state, parent, event label).
- *
- * Verdict/count parity with the sequential checker: on a clean run
- * every unique state is expanded exactly once in either mode, so
- * statesExplored, statesGenerated and transitionsFired are sums over
- * the same set of expansions and match exactly. On error runs the
- * verdict is a real violation either way, but which one is found
- * first (and the partial counts) may differ with exploration order.
- */
-class ParallelChecker
-{
-  public:
-    ParallelChecker(const System &sys, const CheckOptions &opts,
-                    unsigned threads)
-        : sys_(sys), opts_(opts), numThreads_(threads),
-          compaction_(opts.hashCompaction ||
-                      (opts.resume &&
-                       opts.resume->header.storedAsHashes)),
-          spill_(!opts.spillDir.empty()),
-          tracing_(opts.traceOnError && !compaction_ && !spill_),
-          symmetry_(opts.symmetryReduction && !sys.symClasses.empty()),
-          instr_(opts, threads, tracing_)
-    {
-        if (opts_.partialOrderReduction)
-            por_.build(sys_);
-        if (!opts_.checkpointPath.empty() || opts_.resume) {
-            fingerprint_ = optionsFingerprint(opts_);
-            sysHash_ = systemConfigHash(sys_);
-        }
-        for (Shard &s : shards_)
-            s.store.attachTier(&tier_);
-        if (compaction_) {
-            for (Shard &s : shards_)
-                s.store = StateStore(StateTable::Mode::Hashes, &tier_);
-        }
-        if (opts_.expectedStates) {
-            for (Shard &s : shards_)
-                s.store.reserve(opts_.expectedStates / kShardCount + 1);
-        }
-        if (spill_) {
-            if (util::ensureDirectory(opts_.spillDir)) {
-                tier_.configure(opts_.spillDir, "visited");
-                fqueue_.configure(opts_.spillDir, "frontier");
-            } else {
-                spillError_ = "cannot create spill directory '" +
-                              opts_.spillDir + "'";
-            }
-        }
-        if (!opts_.checkpointPath.empty())
-            fqueue_.retainConsumed(true);
-    }
-
-    CheckResult
-    run()
-    {
-        wall_.restart();
-        if (instr_.on()) {
-            if (auto *tw = instr_.trace()) {
-                for (unsigned t = 0; t < numThreads_; ++t) {
-                    tw->setThreadName(t + 1, "checker worker " +
-                                                 std::to_string(t));
-                }
-            }
-            instr_.startProgress([this] { return sample(); });
-        }
-
-        if (!spillError_.empty()) {
-            result_.errorKind = ErrorKind::SpillIo;
-            result_.detail = spillError_;
-            result_.ok = false;
-            instr_.finalize(result_, wall_.ms());
-            return result_;
-        }
-
-        if (opts_.resume) {
-            std::string rerr = restoreFrom(*opts_.resume);
-            if (!rerr.empty()) {
-                result_.errorKind = ErrorKind::ResumeMismatch;
-                result_.detail = std::move(rerr);
-                result_.resumedFromCheckpoint = true;
-                result_.ok = false;
-                instr_.finalize(result_, wall_.ms());
-                return result_;
-            }
-        } else {
-            SysState init = initialState(sys_, opts_.accessBudget);
-            WorkerCtx ws;
-            ++generatedCount_;
-            if (instr_.on())
-                instr_.noteGenerated();
-            if (symmetry_)
-                init.encodeCanonicalTo(sys_, ws.enc, ws.esc);
-            else
-                init.encodeTo(sys_, ws.enc, ws.esc);
-            insertVisited(ws.enc);
-            size_t node = SIZE_MAX;
-            if (tracing_) {
-                arena_.push_back({init, SIZE_MAX, "init"});
-                node = 0;
-            }
-            if (spill_)
-                fqueue_.push(std::move(init));
-            else
-                queue_.push_back({std::move(init), node});
-            pending_ = 1;
-            if (instr_.on())
-                instr_.setQueueDepth(1);
-        }
-
-        lastCheckpointMs_ = 0;
-        alive_ = numThreads_;
-        std::vector<std::thread> workers;
-        workers.reserve(numThreads_);
-        for (unsigned t = 0; t < numThreads_; ++t)
-            workers.emplace_back([this, t] { workerLoop(t); });
-        bool coordinate = !opts_.checkpointPath.empty() ||
-                          opts_.stopRequested != nullptr ||
-                          opts_.cancel != nullptr ||
-                          opts_.maxResidentBytes != 0;
-        if (coordinate)
-            coordinatorLoop();
-        for (auto &w : workers)
-            w.join();
-
-        result_.statesExplored = exploredCount_.load();
-        result_.statesGenerated = generatedCount_.load();
-        result_.transitionsFired = firedCount_.load();
-        if (hasError_) {
-            result_.errorKind = error_.kind;
-            result_.detail = error_.detail;
-            result_.hitStateLimit = error_.isLimit;
-            result_.resumable = errorKindResumable(error_.kind);
-            if (tracing_) {
-                buildTrace(error_.node);
-                if (error_.hasBad) {
-                    result_.trace.push_back(
-                        error_.how + "  =>  " +
-                        describeState(sys_, error_.bad));
-                    result_.traceStepsJson.push_back(
-                        "{\"event\": " + obs::jsonQuote(error_.how) +
-                        ", \"state\": " +
-                        describeStateJson(sys_, error_.bad) + "}");
-                }
-            }
-        }
-        // Workers are joined: flush a final resume artifact with the
-        // queue exactly as the abort left it.
-        if (result_.resumable)
-            writeCheckpointQuiescent();
-        result_.ok = !hasError_;
-        result_.symmetryReduction = symmetry_;
-        result_.partialOrderReduction = por_.enabled;
-        result_.ampleExpansions = ampleCount_.load();
-        result_.hashCompaction = compaction_;
-        result_.resumedFromCheckpoint = opts_.resume != nullptr;
-        result_.checkpointsWritten = cpWritten_;
-        result_.checkpointBytes = cpBytesTotal_;
-        if (cpWritten_ > 0)
-            result_.checkpointFile = opts_.checkpointPath;
-        if (compaction_) {
-            double n = static_cast<double>(result_.statesGenerated);
-            result_.omissionProbability = n * n / 1.8446744e19;
-        }
-        if (spill_) {
-            SpillStats vs = tier_.stats();
-            const SpillStats &fs = fqueue_.stats();
-            result_.spilledToDisk =
-                vs.segmentsWritten + fs.segmentsWritten > 0 ||
-                tier_.states() > 0;
-            result_.spilledBytes = vs.spilledBytes + fs.spilledBytes;
-            result_.spillSegmentsWritten =
-                vs.segmentsWritten + fs.segmentsWritten;
-            result_.diskProbes = vs.diskProbes;
-            result_.diskProbeHits = vs.diskHits;
-            result_.spillStallMs =
-                static_cast<double>(vs.stallNs + fs.stallNs) / 1e6;
-            // Segment files outlive the run only while a durable
-            // checkpoint references them.
-            bool keep = result_.resumable && cpWritten_ > 0;
-            if (!keep) {
-                tier_.removeSegmentFiles();
-                fqueue_.removeSegmentFiles();
-            }
-        }
-        result_.peakRssBytes = util::peakRssBytes();
-        instr_.finalize(result_, wall_.ms());
-        return result_;
-    }
-
-  private:
-    static constexpr size_t kShardCount = 64;  // power of two
-    static constexpr size_t kBatch = 32;
-
-    struct Shard
-    {
-        std::mutex mu;
-        StateStore store{StateTable::Mode::Exact};
-    };
-
-    struct TraceNode
-    {
-        SysState state;
-        size_t parent;
-        std::string how;
-    };
-
-    struct Item
-    {
-        SysState state;
-        size_t node;  ///< arena index (SIZE_MAX when not tracing)
-    };
-
-    /** A successor accepted into the visited set, awaiting enqueue. */
-    struct Accepted
-    {
-        SysState state;
-        size_t parent;
-        std::string how;
-    };
-
-    /** One staged successor of a batched expansion (see the
-     *  sequential engine's PendingSucc for the two-stage scheme). */
-    struct PendingSucc
-    {
-        SysState st;
-        std::string enc;
-        uint64_t hash = 0;
-        std::string how;
-    };
-
-    /** Per-worker scratch, allocated once per thread. */
-    struct WorkerCtx
-    {
-        std::string enc;
-        std::vector<char> mask;
-        std::vector<Item> batch;
-        std::vector<Accepted> accepted;
-        // Successor scratch for the POR probe path: duplicate
-        // successors are discarded without moving it, so its vector
-        // capacity is reused; esc carries the canonicalization
-        // buffers across the batch.
-        SysState next;
-        EncodeScratch esc;
-        std::vector<PendingSucc> pend;  ///< batched-expansion pool
-        size_t pendCount = 0;  ///< successors staged this expansion
-        unsigned symTick = 0;  ///< 1-in-64 canonicalization sampling
-    };
-
-    struct ErrorSlot
-    {
-        ErrorKind kind = ErrorKind::None;
-        std::string detail;
-        size_t node = SIZE_MAX;
-        std::string how;
-        SysState bad;
-        bool hasBad = false;
-        bool isLimit = false;
-    };
-
-    const System &sys_;
-    const CheckOptions &opts_;
-    const unsigned numThreads_;
-    // Not const: the coordinator degrades the run to compaction at a
-    // rendezvous (all workers parked, so the writes are ordered by
-    // cpMu_ against every worker's reads), and a resume from a
-    // degraded checkpoint starts that way.
-    bool compaction_;
-    bool spill_;  ///< out-of-core mode armed (spillDir configured)
-    bool tracing_;
-    const bool symmetry_;  ///< canonicalize states before dedup
-    CheckResult result_;
-
-    // The spill tier is shared by every shard's store: segments hold
-    // fingerprints from all shards, and mutation happens only at a
-    // rendezvous (workers parked) or before they spawn.
-    SpillTier tier_;
-    std::string spillError_;  ///< latched spill-arming failure
-    Shard shards_[kShardCount];
-
-    std::mutex qMu_;
-    std::condition_variable qCv_;
-    std::deque<Item> queue_;     ///< in-memory frontier (!spill_)
-    SpillableFrontier fqueue_;   ///< spill-mode frontier; qMu_
-    size_t pending_ = 0;  ///< queued + currently-expanding states
-    std::atomic<bool> stop_{false};
-
-    std::mutex arenaMu_;
-    std::vector<TraceNode> arena_;
-
-    std::mutex errMu_;
-    bool hasError_ = false;
-    ErrorSlot error_;
-
-    std::atomic<uint64_t> exploredCount_{0};
-    std::atomic<uint64_t> generatedCount_{0};
-    std::atomic<uint64_t> firedCount_{0};
-    std::atomic<uint64_t> ampleCount_{0};
-    PorContext por_;
-
-    // Checkpoint rendezvous. The coordinator (the run() thread)
-    // raises cpRequest_; workers park at their next batch boundary
-    // (and exiting workers retire), until cpParked_ == alive_. With
-    // every worker parked the coordinator may touch the queue, the
-    // shards and the census marks without their locks.
-    std::atomic<bool> cpRequest_{false};
-    std::mutex cpMu_;
-    std::condition_variable cpCv_;
-    unsigned cpParked_ = 0;  ///< guarded by cpMu_
-    unsigned alive_ = 0;     ///< workers not yet exited; cpMu_
-    bool interruptSeen_ = false;  ///< coordinator-only
-    bool cancelSeen_ = false;     ///< coordinator-only
-
-    // Engine-owned accounting for the memory watermark (works with
-    // telemetry off) and for the result's checkpoint bookkeeping
-    // (coordinator/run()-thread only).
-    std::atomic<uint64_t> visitedCount_{0};
-    std::atomic<uint64_t> visitedBytes_{0};
-    uint64_t fingerprint_ = 0;
-    uint64_t sysHash_ = 0;
-    uint64_t cpWritten_ = 0;
-    uint64_t cpBytesTotal_ = 0;
-    double lastCheckpointMs_ = 0;
-
-    Instr instr_;
-    util::Stopwatch wall_;
-
-    /** Progress sample: engine counters + shard occupancy scan. */
-    obs::ProgressSample
-    sample()
-    {
-        obs::ProgressSample s = instr_.baseSample();
-        s.statesExplored =
-            exploredCount_.load(std::memory_order_relaxed);
-        s.statesGenerated =
-            generatedCount_.load(std::memory_order_relaxed);
-        s.transitionsFired =
-            firedCount_.load(std::memory_order_relaxed);
-        s.shardCount = kShardCount;
-        uint64_t occupied = 0, tableBytes = 0, entries = 0, slots = 0;
-        for (Shard &sh : shards_) {
-            std::lock_guard<std::mutex> lk(sh.mu);
-            if (sh.store.size() > 0)
-                ++occupied;
-            tableBytes += sh.store.memoryBytes();
-            entries += sh.store.size();
-            slots += sh.store.capacity();
-        }
-        s.shardsOccupied = occupied;
-        s.tableBytes = tableBytes;
-        s.tableLoadFactor =
-            slots ? static_cast<double>(entries) /
-                        static_cast<double>(slots)
-                  : 0.0;
-        instr_.setTableStats(tableBytes, s.tableLoadFactor);
-        s.estMemoryBytes = instr_.estMemoryBytes(s.queueDepth);
-        return s;
-    }
-
-    /** Insert into the sharded visited table; true if new. The
-     *  fingerprint picks the shard by its low bits; the table probes
-     *  from a scrambled start index, so sharding and probing never
-     *  collide on the same bits. */
-    bool
-    insertVisited(const std::string &enc)
-    {
-        return insertVisitedHashed(
-            hashState(enc, compaction_ ? opts_.compactionSeed : 0),
-            enc);
-    }
-
-    /** insertVisited() with the fingerprint already computed (the
-     *  batched expansion hashes in stage 1). */
-    bool
-    insertVisitedHashed(uint64_t h, const std::string &enc)
-    {
-        bool fresh;
-        {
-            Shard &s = shards_[h & (kShardCount - 1)];
-            std::lock_guard<std::mutex> lk(s.mu);
-            fresh = compaction_
-                        ? s.store.insertHash(h)
-                        : s.store.insert(
-                              h, enc.data(),
-                              static_cast<uint32_t>(enc.size()));
-        }
-        if (fresh) {
-            visitedCount_.fetch_add(1, std::memory_order_relaxed);
-            visitedBytes_.fetch_add(compaction_ ? 8 : enc.size(),
-                                    std::memory_order_relaxed);
-        }
-        if (instr_.on()) {
-            if (fresh)
-                instr_.noteAccepted(enc.size());
-            else
-                instr_.noteDedupHit();
-        }
-        return fresh;
-    }
-
-    /** Frontier size/emptiness under qMu_, whichever container is
-     *  live. */
-    bool
-    queueEmptyLocked() const
-    {
-        return spill_ ? fqueue_.empty() : queue_.empty();
-    }
-
-    size_t
-    queueSizeLocked() const
-    {
-        return spill_ ? static_cast<size_t>(fqueue_.size())
-                      : queue_.size();
-    }
-
-    void
-    requestStop()
-    {
-        {
-            std::lock_guard<std::mutex> lk(qMu_);
-            stop_.store(true, std::memory_order_relaxed);
-        }
-        qCv_.notify_all();
-    }
-
-    void
-    reportError(ErrorKind kind, std::string detail, size_t node,
-                std::string how, const SysState *bad, bool is_limit)
-    {
-        {
-            std::lock_guard<std::mutex> lk(errMu_);
-            if (!hasError_) {
-                hasError_ = true;
-                error_.kind = kind;
-                error_.detail = std::move(detail);
-                error_.node = node;
-                error_.how = std::move(how);
-                error_.isLimit = is_limit;
-                if (bad) {
-                    error_.bad = *bad;
-                    error_.hasBad = true;
-                }
-            }
-        }
-        requestStop();
-    }
-
-    /** Claim one exploration slot; false once maxStates is reached
-     *  (leaving statesExplored == maxStates exactly, as the
-     *  sequential checker reports it). */
-    bool
-    claimExploreSlot()
-    {
-        uint64_t n = exploredCount_.fetch_add(1);
-        if (opts_.maxStates && n >= opts_.maxStates) {
-            exploredCount_.fetch_sub(1);
-            reportError(ErrorKind::StateLimit,
-                        "exploration capped at " +
-                            std::to_string(opts_.maxStates) + " states",
-                        SIZE_MAX, "", nullptr, true);
-            return false;
-        }
-        return true;
-    }
-
-    void
-    workerLoop(unsigned widx)
-    {
-        WorkerCtx ws;
-        SpanChunker chunker(instr_.trace(), widx + 1);
-        for (;;) {
-            if (cpRequest_.load(std::memory_order_relaxed))
-                parkForCheckpoint();
-            ws.batch.clear();
-            std::string takeErr;
-            bool takeFailed = false;
-            {
-                std::unique_lock<std::mutex> lk(qMu_);
-                qCv_.wait(lk, [this] {
-                    return stop_.load(std::memory_order_relaxed) ||
-                           cpRequest_.load(
-                               std::memory_order_relaxed) ||
-                           !queueEmptyLocked() || pending_ == 0;
-                });
-                if (stop_.load(std::memory_order_relaxed) ||
-                    (queueEmptyLocked() && pending_ == 0)) {
-                    break;
-                }
-                if (cpRequest_.load(std::memory_order_relaxed))
-                    continue;  // park at the loop top
-                if (spill_) {
-                    // A pop may reload a segment from disk; a failed
-                    // load loses states, so it aborts the run (the
-                    // error is reported outside qMu_ — requestStop
-                    // retakes it).
-                    size_t take = static_cast<size_t>(
-                        std::min<uint64_t>(fqueue_.size(), kBatch));
-                    for (size_t i = 0; i < take; ++i) {
-                        SysState st;
-                        if (!fqueue_.pop(st)) {
-                            takeFailed = true;
-                            takeErr = fqueue_.error();
-                            break;
-                        }
-                        ws.batch.push_back({std::move(st), SIZE_MAX});
-                    }
-                } else {
-                    size_t take = std::min(queue_.size(), kBatch);
-                    for (size_t i = 0; i < take; ++i) {
-                        ws.batch.push_back(std::move(queue_.front()));
-                        queue_.pop_front();
-                    }
-                }
-                if (instr_.on())
-                    instr_.setQueueDepth(queueSizeLocked());
-            }
-            if (takeFailed) {
-                reportError(ErrorKind::SpillIo,
-                            takeErr.empty()
-                                ? "frontier segment load failed"
-                                : takeErr,
-                            SIZE_MAX, "", nullptr, false);
-                break;
-            }
-
-            ws.accepted.clear();
-            size_t consumed = 0;
-            for (Item &it : ws.batch) {
-                if (stop_.load(std::memory_order_relaxed))
-                    break;
-                if (!claimExploreSlot())
-                    break;
-                expandOne(it, ws);
-                ++consumed;
-                chunker.bump();
-            }
-            flush(ws, consumed);
-            if (stop_.load(std::memory_order_relaxed))
-                break;
-        }
-        retireWorker();
-    }
-
-    /** Park at a batch boundary until the coordinator has finished
-     *  its checkpoint/degrade work. cpMu_ orders the coordinator's
-     *  single-threaded mutations against this worker's return. */
-    void
-    parkForCheckpoint()
-    {
-        std::unique_lock<std::mutex> lk(cpMu_);
-        ++cpParked_;
-        cpCv_.notify_all();
-        cpCv_.wait(lk, [this] {
-            return !cpRequest_.load(std::memory_order_relaxed);
-        });
-        --cpParked_;
-    }
-
-    /** Leave the worker pool; wakes a coordinator waiting for the
-     *  park count to cover every live worker. */
-    void
-    retireWorker()
-    {
-        {
-            std::lock_guard<std::mutex> lk(cpMu_);
-            --alive_;
-        }
-        cpCv_.notify_all();
-    }
-
-    /** Publish a batch's successors and retire its consumed items
-     *  with a single queue-lock acquisition. Unconsumed items (a
-     *  stop or state-limit broke the batch) go back on the queue so
-     *  a final checkpoint captures the complete frontier. */
-    void
-    flush(WorkerCtx &ws, size_t consumed)
-    {
-        // Assign arena slots first so queue items can reference them.
-        size_t base = SIZE_MAX;
-        if (tracing_ && !ws.accepted.empty()) {
-            std::lock_guard<std::mutex> lk(arenaMu_);
-            base = arena_.size();
-            for (Accepted &a : ws.accepted)
-                arena_.push_back({a.state, a.parent, std::move(a.how)});
-        }
-        bool wake_all = false;
-        std::string ferr;
-        {
-            std::lock_guard<std::mutex> lk(qMu_);
-            if (spill_) {
-                for (size_t i = 0; i < ws.accepted.size(); ++i)
-                    fqueue_.push(std::move(ws.accepted[i].state));
-                for (size_t i = consumed; i < ws.batch.size(); ++i)
-                    fqueue_.push(std::move(ws.batch[i].state));
-                ferr = fqueue_.error();
-            } else {
-                for (size_t i = 0; i < ws.accepted.size(); ++i) {
-                    queue_.push_back(
-                        {std::move(ws.accepted[i].state),
-                         tracing_ ? base + i : SIZE_MAX});
-                }
-                // Returned items were never retired, so they re-enter
-                // the queue without touching pending_.
-                for (size_t i = consumed; i < ws.batch.size(); ++i)
-                    queue_.push_back(std::move(ws.batch[i]));
-            }
-            pending_ += ws.accepted.size();
-            pending_ -= consumed;
-            wake_all = pending_ == 0 ||
-                       stop_.load(std::memory_order_relaxed) ||
-                       !queueEmptyLocked();
-            if (instr_.on())
-                instr_.setQueueDepth(queueSizeLocked());
-        }
-        if (!ferr.empty())
-            reportError(ErrorKind::SpillIo, ferr, SIZE_MAX, "", nullptr,
-                        false);
-        if (wake_all)
-            qCv_.notify_all();
-    }
-
-    // ---- Coordinator (runs on the run() thread) ----
-
-    /**
-     * Poll loop for interrupt, memory watermark and checkpoint
-     * cadence while workers explore. Exits once every worker has
-     * retired.
-     */
-    void
-    coordinatorLoop()
-    {
-        std::unique_lock<std::mutex> lk(cpMu_);
-        while (alive_ > 0) {
-            cpCv_.wait_for(lk, std::chrono::milliseconds(50));
-            if (alive_ == 0)
-                break;
-            lk.unlock();
-            pollControls();
-            lk.lock();
-        }
-    }
-
-    void
-    pollControls()
-    {
-        if (opts_.cancel && !cancelSeen_ && opts_.cancel->cancelled()) {
-            cancelSeen_ = true;
-            std::string why = opts_.cancel->reason();
-            reportError(ErrorKind::Cancelled,
-                        why.empty() ? "cancelled by caller"
-                                    : std::move(why),
-                        SIZE_MAX, "", nullptr, false);
-            return;  // not resumable: run() drops any checkpoint
-        }
-        if (opts_.stopRequested && !interruptSeen_ &&
-            opts_.stopRequested->load(std::memory_order_relaxed)) {
-            interruptSeen_ = true;
-            reportError(ErrorKind::Interrupted,
-                        "stop requested (signal or caller)", SIZE_MAX,
-                        "", nullptr, false);
-            return;  // workers drain; run() writes the artifact
-        }
-        if (instr_.on()) {
-            // Keep the measured working-set components fresh on the
-            // coordinator's 50ms cadence so estMemoryBytes() and the
-            // status socket see real accounting, not heuristics.
-            uint64_t avg = avgStateBytes();
-            uint64_t depth;
-            {
-                std::lock_guard<std::mutex> lk(qMu_);
-                depth = spill_ ? fqueue_.memStates() : queue_.size();
-            }
-            instr_.setFrontierBytes(depth * avg);
-            if (tracing_)
-                instr_.setTraceArenaBytes(
-                    visitedCount_.load(std::memory_order_relaxed) *
-                    avg);
-        }
-        if (spill_ && instr_.on())
-            publishSpillStats();
-        if (opts_.maxResidentBytes && !result_.degradedToCompaction &&
-            memEstimate() > opts_.maxResidentBytes && !hasErrorNow()) {
-            if (spill_) {
-                // Out-of-core: shed memory at a rendezvous, keep
-                // exactness, never abort. Skip the rendezvous when
-                // nothing worthwhile would spill (tiny hot tier and
-                // frontier overflow already armed).
-                if (spillWorthwhile())
-                    rendezvous([this] { spillInQuiescence(); });
-            } else if (opts_.memoryLimitPolicy ==
-                           MemoryLimitPolicy::DegradeToCompaction &&
-                       !compaction_) {
-                rendezvous([this] {
-                    writeCheckpointQuiescent();
-                    degradeInQuiescence();  // disarms the watermark
-                });
-            } else {
-                reportError(ErrorKind::MemoryLimit,
-                            "estimated resident memory exceeds " +
-                                std::to_string(
-                                    opts_.maxResidentBytes) +
-                                " bytes",
-                            SIZE_MAX, "", nullptr, false);
-                return;
-            }
-        }
-        if (!opts_.checkpointPath.empty() && !hasErrorNow() &&
-            wall_.ms() - lastCheckpointMs_ >=
-                opts_.checkpointIntervalSec * 1000.0) {
-            rendezvous([this] { writeCheckpointQuiescent(); });
-        }
-    }
-
-    bool
-    hasErrorNow()
-    {
-        std::lock_guard<std::mutex> lk(errMu_);
-        return hasError_;
-    }
-
-    /** Engine-owned resident-set estimate (telemetry-independent);
-     *  mirrors the sequential engine's formula, with the visited
-     *  component measured from the shard tables. */
-    uint64_t
-    memEstimate()
-    {
-        uint64_t avg = avgStateBytes();
-        uint64_t tableBytes = 0;
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lk(s.mu);
-            tableBytes += s.store.memoryBytes();
-        }
-        uint64_t depth;
-        {
-            std::lock_guard<std::mutex> lk(qMu_);
-            depth = spill_ ? fqueue_.memStates() : queue_.size();
-        }
-        // tier_.memoryBytes() is safe here: segments mutate only on
-        // this thread (rendezvous) or before workers spawn.
-        uint64_t est = tableBytes + tier_.memoryBytes() + depth * avg;
-        if (tracing_) {
-            est += visitedCount_.load(std::memory_order_relaxed) *
-                   avg;  // arena keeps every accepted state
-        }
-        return est;
-    }
-
-    /** Mean resident bytes per decoded state (see the sequential
-     *  engine's avgStateBytes). */
-    uint64_t
-    avgStateBytes() const
-    {
-        uint64_t v = visitedCount_.load(std::memory_order_relaxed);
-        uint64_t b = visitedBytes_.load(std::memory_order_relaxed);
-        return (v ? b / v : 0) * 3 + 96;
-    }
-
-    uint64_t
-    minSpillBytes() const
-    {
-        return std::min<uint64_t>(
-            uint64_t{1} << 20,
-            std::max<uint64_t>(opts_.maxResidentBytes / 4, 64u << 10));
-    }
-
-    /** In-memory frontier window once spilling starts (an eighth of
-     *  the budget, bounded). */
-    size_t
-    frontierWindow() const
-    {
-        uint64_t avg = std::max<uint64_t>(avgStateBytes(), 1);
-        uint64_t w = (opts_.maxResidentBytes / 8) / avg;
-        if (w < 1024)
-            w = 1024;
-        if (w > (uint64_t{1} << 20))
-            w = uint64_t{1} << 20;
-        return static_cast<size_t>(w);
-    }
-
-    /** Coordinator-side gate: is a rendezvous worth the stall? True
-     *  when the hot tier holds a segment's worth of encodings or the
-     *  frontier overflow is not yet armed. */
-    bool
-    spillWorthwhile()
-    {
-        bool armed;
-        {
-            std::lock_guard<std::mutex> lk(qMu_);
-            armed = fqueue_.spilling();
-        }
-        if (!armed)
-            return true;
-        if (compaction_)
-            return false;
-        uint64_t hotBytes = 0;
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lk(s.mu);
-            hotBytes += s.store.spillableBytes();
-        }
-        return hotBytes >= minSpillBytes();
-    }
-
-    /**
-     * SpillToDisk watermark response with every worker parked: flush
-     * all 64 hot tables into one sealed segment, restart them empty,
-     * and (re)arm the frontier overflow. Spill I/O failure aborts
-     * the run ("spill-io") — memory pressure alone never does.
-     */
-    void
-    spillInQuiescence()
-    {
-        if (!compaction_) {
-            uint64_t hotBytes = 0;
-            for (Shard &s : shards_)
-                hotBytes += s.store.spillableBytes();
-            if (hotBytes >= minSpillBytes()) {
-                const StateTable *tabs[kShardCount];
-                for (size_t i = 0; i < kShardCount; ++i)
-                    tabs[i] = &shards_[i].store.hot();
-                std::string err;
-                if (!tier_.spillHot(tabs, kShardCount, &err)) {
-                    reportError(ErrorKind::SpillIo, err, SIZE_MAX, "",
-                                nullptr, false);
-                    return;
-                }
-                // Shard locks order the resets against the telemetry
-                // sampler's concurrent table scans.
-                for (Shard &s : shards_) {
-                    std::lock_guard<std::mutex> lk(s.mu);
-                    s.store.resetHot();
-                }
-                instr_.journalEvent(
-                    "spill",
-                    {{"spilled_bytes",
-                      std::to_string(tier_.stats().spilledBytes)},
-                     {"segments",
-                      std::to_string(tier_.stats().segmentsWritten)},
-                     {"states_explored",
-                      std::to_string(exploredCount_.load(
-                          std::memory_order_relaxed))}});
-            }
-        }
-        fqueue_.enableSpill(frontierWindow());
-        if (!fqueue_.error().empty()) {
-            reportError(ErrorKind::SpillIo, fqueue_.error(), SIZE_MAX, "",
-                        nullptr, false);
-        }
-    }
-
-    /** Push spill counters to the telemetry atomics (coordinator
-     *  thread: tier reads are rendezvous-ordered, frontier reads take
-     *  qMu_). */
-    void
-    publishSpillStats()
-    {
-        SpillStats fs;
-        uint64_t fdepth;
-        {
-            std::lock_guard<std::mutex> lk(qMu_);
-            fs = fqueue_.stats();
-            fdepth = fqueue_.memStates();
-        }
-        instr_.setFrontierBytes(fdepth * avgStateBytes());
-        instr_.setSpillStats(tier_.stats(), fs);
-    }
-
-    /**
-     * Park every live worker at a batch boundary, run @p fn with
-     * exclusive access to queue/shards/census, release. Workers hold
-     * no work items while parked (flush() precedes the park), so the
-     * snapshot is consistent: pending_ == queue_.size().
-     */
-    template <typename Fn>
-    void
-    rendezvous(Fn &&fn)
-    {
-        cpRequest_.store(true, std::memory_order_relaxed);
-        qCv_.notify_all();
-        std::unique_lock<std::mutex> lk(cpMu_);
-        cpCv_.wait(lk, [this] { return cpParked_ == alive_; });
-        if (alive_ > 0)
-            fn();  // all-exited means run() flushes the final artifact
-        cpRequest_.store(false, std::memory_order_relaxed);
-        lk.unlock();
-        cpCv_.notify_all();
-    }
-
-    /** Snapshot while quiescent: every worker parked, or all joined.
-     *  No-op without a configured path. */
-    void
-    writeCheckpointQuiescent()
-    {
-        if (opts_.checkpointPath.empty())
-            return;
-        util::Stopwatch sw;
-        CheckpointWriter w(opts_.checkpointPath);
-        CheckpointHeader h;
-        h.optionsFingerprint = fingerprint_;
-        h.systemHash = sysHash_;
-        h.storedAsHashes = compaction_;
-        h.degraded = result_.degradedToCompaction;
-        h.symmetryApplied = symmetry_;
-        h.statesExplored = exploredCount_.load();
-        h.statesGenerated = generatedCount_.load();
-        h.transitionsFired = firedCount_.load();
-        w.begin(h);
-        uint64_t vcount = 0;
-        for (Shard &s : shards_)
-            vcount += s.store.size();
-        w.beginVisited(vcount, compaction_);
-        if (compaction_) {
-            for (Shard &s : shards_)
-                s.store.forEachHash(
-                    [&](uint64_t v) { w.addVisitedHash(v); });
-        } else {
-            for (Shard &s : shards_)
-                s.store.forEachHotExact(
-                    [&](const char *data, uint32_t len) {
-                        w.addVisitedExact(data, len);
-                    });
-        }
-        // v3 queue split under spill: in-memory head in the classic
-        // frontier section, spilled middle by segment reference,
-        // in-memory tail in its own section (empty sections
-        // otherwise, emitted by commit()).
-        if (spill_) {
-            w.beginFrontier(fqueue_.headStates());
-            fqueue_.forEachHead(
-                [&](const SysState &st) { w.addFrontierState(st); });
-        } else {
-            w.beginFrontier(queue_.size());
-            for (const Item &it : queue_)
-                w.addFrontierState(it.state);
-        }
-        w.addCensus(sys_);
-        if (spill_) {
-            w.addSpillSegments(tier_.segmentRefs(),
-                               fqueue_.segmentRefs());
-            w.beginFrontierTail(fqueue_.tailStates());
-            fqueue_.forEachTail(
-                [&](const SysState &st) { w.addFrontierState(st); });
-        }
-        CheckpointIo io = w.commit();
-        lastCheckpointMs_ = wall_.ms();
-        if (io.ok) {
-            ++cpWritten_;
-            cpBytesTotal_ += io.bytes;
-            instr_.noteCheckpointWrite(io.bytes, sw.ms());
-            // The durable snapshot no longer references any frontier
-            // segment consumed before it; their files can go now.
-            if (spill_)
-                fqueue_.purgeConsumed();
-        } else {
-            warn("checkpoint write failed: ", io.error);
-        }
-    }
-
-    /**
-     * Degrade to hash compaction with every worker parked: re-shard
-     * each exact encoding by its compaction signature, drop the
-     * encodings, and stop tracing (the arena stays allocated only
-     * until run() returns; new successors no longer feed it). The
-     * replacement tables are pre-sized from the live cardinality, so
-     * the transition is one redistribution pass with no rehash storm
-     * at the memory watermark.
-     */
-    void
-    degradeInQuiescence()
-    {
-        uint64_t liveStates = 0;
-        for (Shard &s : shards_)
-            liveStates += s.store.size();
-        std::vector<StateTable> hashed;
-        hashed.reserve(kShardCount);
-        for (size_t i = 0; i < kShardCount; ++i) {
-            hashed.emplace_back(StateTable::Mode::Hashes);
-            // Signatures spread evenly over shards; leave headroom so
-            // an unlucky shard still avoids a second grow.
-            hashed.back().reserve(liveStates / kShardCount +
-                                  liveStates / (4 * kShardCount) + 1);
-        }
-        for (Shard &s : shards_) {
-            s.store.forEachHotExact(
-                [&](const char *data, uint32_t len) {
-                    uint64_t h =
-                        hashState(data, len, opts_.compactionSeed);
-                    hashed[h & (kShardCount - 1)].insertHash(h);
-                });
-        }
-        uint64_t total = 0;
-        for (size_t i = 0; i < kShardCount; ++i) {
-            shards_[i].store.replaceHot(std::move(hashed[i]));
-            total += shards_[i].store.size();
-        }
-        visitedCount_.store(total, std::memory_order_relaxed);
-        visitedBytes_.store(total * 8, std::memory_order_relaxed);
-        compaction_ = true;
-        tracing_ = false;
-        instr_.setTraceArenaBytes(0);
-        result_.degradedToCompaction = true;
-        instr_.journalEvent(
-            "degrade",
-            {{"states_explored",
-              std::to_string(
-                  exploredCount_.load(std::memory_order_relaxed))},
-             {"visited_entries", std::to_string(total)}});
-    }
-
-    /** Seed the run from a validated checkpoint (single-threaded:
-     *  workers have not been spawned yet). Returns "" on success; a
-     *  non-empty string is a refusal reason (missing/corrupt spill
-     *  segment), reported as "resume-mismatch". */
-    std::string
-    restoreFrom(const CheckpointData &d)
-    {
-        util::Stopwatch sw;
-        exploredCount_.store(d.header.statesExplored);
-        generatedCount_.store(d.header.statesGenerated);
-        firedCount_.store(d.header.transitionsFired);
-        result_.degradedToCompaction = d.header.degraded;
-        // A snapshot that references live spill segments resumes in
-        // spill mode regardless of this run's flags — the segments
-        // are part of the visited set. The directory defaults to
-        // where the segments already live.
-        uint64_t segBytes = 0;
-        if (!d.visitedSegments.empty() || !d.frontierSegments.empty()) {
-            tracing_ = false;
-            spill_ = true;
-            if (!tier_.configured()) {
-                std::string dir = opts_.spillDir;
-                if (dir.empty()) {
-                    const std::string &p =
-                        d.visitedSegments.empty()
-                            ? d.frontierSegments.front().path
-                            : d.visitedSegments.front().path;
-                    dir = dirnameOf(p);
-                }
-                if (!util::ensureDirectory(dir)) {
-                    return "cannot create spill directory '" + dir +
-                           "'";
-                }
-                tier_.configure(dir, "visited");
-                fqueue_.configure(dir, "frontier");
-                if (!opts_.checkpointPath.empty())
-                    fqueue_.retainConsumed(true);
-            }
-            for (const SpillSegmentRef &ref : d.visitedSegments) {
-                std::string err;
-                if (!tier_.adoptSegment(ref, &err))
-                    return err;
                 segBytes += ref.bytes;
             }
+            tierBytes_.store(tier_.memoryBytes());
         }
-        // Pre-size every shard from the snapshot's cardinality so
-        // the restore is one pass with no rehashes.
+        // Pre-size every shard from the snapshot's cardinality so the
+        // restore is one pass with no rehashes.
         uint64_t stored = d.header.storedAsHashes
                               ? d.visitedHashes.size()
                               : d.visitedExact.size();
-        for (Shard &s : shards_)
-            s.store.reserve(stored / kShardCount +
-                            stored / (4 * kShardCount) + 1);
+        for (size_t i = 0; i < shardCount_; ++i)
+            shards_[i].store.reserve(stored / shardCount_ +
+                                     stored / (4 * shardCount_) + 1);
+        uint64_t n = 0, bytes = 0;
         if (d.header.storedAsHashes) {
-            uint64_t n = 0;
-            for (uint64_t h : d.visitedHashes) {
-                if (shards_[h & (kShardCount - 1)].store.insertHash(h))
-                    ++n;
-                if (instr_.on())
-                    instr_.noteAccepted(8);
-            }
-            visitedCount_.store(n);
-            visitedBytes_.store(n * 8);
+            for (uint64_t h : d.visitedHashes)
+                n += shardOf(h).store.insertHash(h);
+            bytes = n * 8;
         } else {
-            uint64_t n = 0, bytes = 0;
             for (const std::string &enc : d.visitedExact) {
                 uint64_t h = hashState(enc, 0);
-                if (shards_[h & (kShardCount - 1)].store.insert(
+                if (shardOf(h).store.insert(
                         h, enc.data(),
                         static_cast<uint32_t>(enc.size()))) {
                     ++n;
                     bytes += enc.size();
                 }
-                if (instr_.on())
-                    instr_.noteAccepted(enc.size());
             }
-            visitedCount_.store(n + tier_.states());
-            visitedBytes_.store(bytes + segBytes);
         }
+        visited_.store(n + tier_.states());
+        visitedBytes_.store(bytes + segBytes);
         // Frontier states are already in the visited set; in tracing
-        // mode they become trace roots ("resumed"). Restore order
+        // mode they become trace roots, so a post-resume violation's
+        // counterexample starts at the resume point. Restore order
         // (head pushes, segment adoption, tail pushes) rebuilds the
         // exact FIFO the snapshot recorded.
         for (const SysState &st : d.frontier) {
-            if (spill_) {
-                fqueue_.push(SysState(st));
-                continue;
-            }
-            size_t node = SIZE_MAX;
-            if (tracing_) {
+            if (tracing_)
                 arena_.push_back({st, SIZE_MAX, "resumed"});
-                node = arena_.size() - 1;
-            }
-            queue_.push_back({st, node});
+            else
+                fqueue_.push(SysState(st));
         }
         for (const SpillSegmentRef &ref : d.frontierSegments) {
             std::string err;
@@ -3235,12 +1959,11 @@ class ParallelChecker
         for (const SysState &st : d.frontierTail)
             fqueue_.push(SysState(st));
         pending_ = queueSizeLocked();
-        if (instr_.on())
-            instr_.setQueueDepth(pending_);
         instr_.noteCheckpointRestore(sw.ms());
         return "";
     }
 
+    /** The counterexample ending at arena node @p idx. */
     void
     buildTrace(size_t idx)
     {
@@ -3261,55 +1984,88 @@ class ParallelChecker
     }
 
     /** Canonicalize (under symmetry reduction) and encode @p st into
-     *  @p out. The sampled telemetry share takes the orbit-walk time
-     *  only (the cost symmetry adds on top of the baseline encode) —
-     *  matches the sequential engine's sym_time_share feed. */
+     *  @p out, with the sampled timing the telemetry symmetry share
+     *  and the phase breakdown both draw from. */
     void
     encodeState(SysState &st, std::string &out, WorkerCtx &ws)
     {
-        if (symmetry_) {
-            if (instr_.on()) {
-                instr_.noteSymCall();
-                if (Instr::sampleTick(ws.symTick)) {
-                    ws.esc.timeSections = true;
-                    ws.esc.encodeNs = ws.esc.orbitNs = 0;
-                    st.encodeCanonicalTo(sys_, out, ws.esc);
-                    ws.esc.timeSections = false;
-                    instr_.noteSymSample(ws.esc.orbitNs);
-                } else {
-                    st.encodeCanonicalTo(sys_, out, ws.esc);
-                }
-            } else {
+        bool sym_sample = false;
+        if (symmetry_ && instr_.on()) {
+            instr_.noteSymCall();
+            sym_sample = Instr::sampleTick(ws.symTick);
+        }
+        if (!sym_sample && !ws.sampling) {
+            if (symmetry_)
                 st.encodeCanonicalTo(sys_, out, ws.esc);
-            }
+            else
+                st.encodeTo(sys_, out, ws.esc);
+            return;
+        }
+        // One timed call serves both samplers: the telemetry share
+        // takes the orbit walk only (the cost symmetry adds on top of
+        // the baseline encode), the phase breakdown both halves.
+        obs::PerfCounts p0;
+        if (ws.sampling && ws.perf)
+            p0 = ws.perf->read();
+        if (symmetry_) {
+            ws.esc.timeSections = true;
+            ws.esc.encodeNs = ws.esc.orbitNs = 0;
+            st.encodeCanonicalTo(sys_, out, ws.esc);
+            ws.esc.timeSections = false;
         } else {
+            ws.sw.restart();
             st.encodeTo(sys_, out, ws.esc);
+            ws.esc.encodeNs = static_cast<uint64_t>(ws.sw.ns());
+            ws.esc.orbitNs = 0;
+        }
+        if (sym_sample)
+            instr_.noteSymSample(ws.esc.orbitNs);
+        if (ws.sampling) {
+            if (ws.perf)
+                ws.phase.encodePerf += ws.perf->read() - p0;
+            ws.phase.encodeNs += static_cast<double>(ws.esc.encodeNs);
+            ws.phase.canonNs += static_cast<double>(ws.esc.orbitNs);
+            ++ws.phase.adds;
         }
     }
 
-    /** Dedup, invariant-check and buffer one successor. Symmetry
-     *  reduction replaces the successor with its orbit representative
-     *  before the visited-set probe, so every worker agrees on the
-     *  stored form regardless of which orbit member it generated. */
+    /** Probe/insert into the sharded visited set; true if new. The
+     *  fingerprint picks the shard by its low bits; the table probes
+     *  from a scrambled start index, so the two never collide on the
+     *  same bits. */
     bool
-    acceptSuccessor(SysState &&next, const Item &parent,
-                    std::string how, WorkerCtx &ws)
+    insertVisited(WorkerCtx &ws, uint64_t h, const std::string &enc)
     {
-        generatedCount_.fetch_add(1, std::memory_order_relaxed);
-        if (instr_.on())
-            instr_.noteGenerated();
-        encodeState(next, ws.enc, ws);
-        if (!insertVisited(ws.enc))
-            return true;
-        if (auto v = findViolation(sys_, next)) {
-            reportError(v->kind, v->detail, parent.node,
-                        std::move(how), &next, false);
-            return false;
+        obs::PerfCounts p0;
+        if (ws.sampling) {
+            if (ws.perf)
+                p0 = ws.perf->read();
+            ws.sw.restart();
         }
-        ws.accepted.push_back(
-            {std::move(next), parent.node,
-             tracing_ ? std::move(how) : std::string()});
-        return true;
+        bool fresh;
+        {
+            // A lone worker is the only thread touching the shards
+            // (see measureTables), so it skips the lock.
+            Shard &s = shardOf(h);
+            std::unique_lock<std::mutex> lk(s.mu, std::defer_lock);
+            if (numThreads_ > 1)
+                lk.lock();
+            fresh = compaction_
+                        ? s.store.insertHash(h)
+                        : s.store.insert(
+                              h, enc.data(),
+                              static_cast<uint32_t>(enc.size()));
+        }
+        if (ws.sampling) {
+            ws.phase.insertNs += ws.sw.ns();
+            if (ws.perf)
+                ws.phase.insertPerf += ws.perf->read() - p0;
+        }
+        if (fresh) {
+            ++ws.visited;
+            ws.visitedBytes += compaction_ ? 8 : enc.size();
+        }
+        return fresh;
     }
 
     /** The slot the next successor executes into (not yet staged). */
@@ -3321,79 +2077,101 @@ class ParallelChecker
         return ws.pend[ws.pendCount];
     }
 
-    /** Stage 1 commit: encode/hash the state sitting in pendSlot().
-     *  Only the shard header is prefetched — the slot arrays may be
-     *  mid-grow under another worker's shard lock, so touching their
-     *  data pointer unlocked would race; the header line (mutex +
-     *  table metadata) is stable and is the first miss the insert
-     *  pays anyway. */
+    /** Stage 1 commit: encode/hash the state sitting in pendSlot()
+     *  and prefetch where its probe will land. With several workers
+     *  only the shard header is prefetched — another worker may be
+     *  growing that shard's slot arrays under its lock. */
     void
     stagePending(WorkerCtx &ws, std::string &&how)
     {
         PendingSucc &p = ws.pend[ws.pendCount++];
         p.how = std::move(how);
-        generatedCount_.fetch_add(1, std::memory_order_relaxed);
-        if (instr_.on())
-            instr_.noteGenerated();
+        ++ws.generated;
         encodeState(p.st, p.enc, ws);
-        p.hash = hashState(
-            p.enc, compaction_ ? opts_.compactionSeed : 0);
+        p.hash = hashState(p.enc,
+                           compaction_ ? opts_.compactionSeed : 0);
+        Shard &s = shardOf(p.hash);
+        if (numThreads_ == 1)
+            s.store.prefetch(p.hash);
 #if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&shards_[p.hash & (kShardCount - 1)], 0, 1);
+        else
+            __builtin_prefetch(&s, 0, 1);
 #endif
     }
 
     /** Stage 2: probe/insert every staged successor in generation
-     *  order; fresh ones are invariant-checked and buffered. Returns
-     *  false when a violation was reported. */
+     *  order; fresh ones are invariant-checked (on the canonical form
+     *  encodeState left in place) and buffered. Returns false when a
+     *  violation was reported — the remaining staged states are
+     *  dropped, as an unbatched loop would have stopped there. */
     bool
     flushPending(const Item &parent, WorkerCtx &ws)
     {
         bool clean = true;
         for (size_t pi = 0; pi < ws.pendCount && clean; ++pi) {
             PendingSucc &p = ws.pend[pi];
-            if (!insertVisitedHashed(p.hash, p.enc))
+            if (!insertVisited(ws, p.hash, p.enc))
                 continue;
             if (auto v = findViolation(sys_, p.st)) {
                 reportError(v->kind, v->detail, parent.node,
-                            std::move(p.how), &p.st, false);
+                            std::move(p.how), &p.st);
                 clean = false;
                 break;
             }
-            ws.accepted.push_back(
-                {std::move(p.st), parent.node,
-                 tracing_ ? std::move(p.how) : std::string()});
+            ws.accepted.emplace_back(
+                std::move(p.st), parent.node,
+                tracing_ ? std::move(p.how) : std::string());
         }
         ws.pendCount = 0;
         return clean;
     }
 
+    /** expandOne(), timed for 1-in-8 expansions under phaseTiming. */
+    void
+    expandSampled(const Item &it, WorkerCtx &ws)
+    {
+        if (!opts_.phaseTiming || (ws.phaseTick++ & 7) != 0) {
+            expandOne(it, ws);
+            return;
+        }
+        ws.sampling = true;
+        obs::PerfCounts p0;
+        if (ws.perf)
+            p0 = ws.perf->read();
+        util::Stopwatch sw;
+        expandOne(it, ws);
+        ws.phase.expandNs += sw.ns();
+        if (ws.perf)
+            ws.phase.expandPerf += ws.perf->read() - p0;
+        ++ws.phase.expansions;
+        ws.sampling = false;
+    }
+
+    /** Generate, dedup and buffer every successor of one state. */
     void
     expandOne(const Item &it, WorkerCtx &ws)
     {
-        const SysState &cur = it.state;
+        const SysState &cur = *it.state;
         size_t successors = 0;
 
         // 1. Message deliveries.
         cur.deliverableMask(*sys_.msgs, ws.mask);
 
-        // 1a. Partial-order reduction (same deterministic ample scan
-        // as the sequential engine, so both explore one reduced
-        // graph regardless of worker schedule).
+        // 1a. Partial-order reduction: when one delivery provably
+        // commutes with everything else enabled here, it is the only
+        // successor explored from this state.
         if (por_.enabled) {
             size_t ampleIdx = SIZE_MAX;
             std::string perr;
-            switch (porTryAmple(por_, opts_, cur, ws.mask, ws.next,
-                                ampleIdx, perr)) {
+            switch (porTryAmple(por_, opts_, cur, ws.mask,
+                                pendSlot(ws).st, ampleIdx, perr)) {
             case PorOutcome::Error:
-                reportError(ErrorKind::ProtocolError, perr, it.node, "",
-                            nullptr, false);
+                reportError(ErrorKind::ProtocolError, std::move(perr),
+                            it.node);
                 return;
             case PorOutcome::Ample: {
-                ampleCount_.fetch_add(1, std::memory_order_relaxed);
-                firedCount_.fetch_add(1, std::memory_order_relaxed);
-                if (instr_.on())
-                    instr_.noteFired();
+                ++ws.ample;
+                ++ws.fired;
                 std::string how;
                 if (tracing_) {
                     const Msg &msg = cur.msgs[ampleIdx];
@@ -3402,8 +2180,8 @@ class ParallelChecker
                           std::to_string(msg.src) + "->" +
                           std::to_string(msg.dst) + " [ample]";
                 }
-                acceptSuccessor(std::move(ws.next), it,
-                                std::move(how), ws);
+                stagePending(ws, std::move(how));
+                flushPending(it, ws);
                 return;
             }
             case PorOutcome::NoAmple:
@@ -3426,19 +2204,17 @@ class ParallelChecker
                            env, opts_.markReached);
             if (r == StepResult::Error || env.failed) {
                 // Earlier siblings flush first, so a violation among
-                // them still wins (the order the unbatched loop
-                // reported in).
+                // them still wins (the order an unbatched loop would
+                // report in).
                 if (flushPending(it, ws))
                     reportError(ErrorKind::ProtocolError, env.errorMsg,
-                                it.node, "", nullptr, false);
+                                it.node);
                 return;
             }
             if (r == StepResult::Stalled)
                 continue;
             ++successors;
-            firedCount_.fetch_add(1, std::memory_order_relaxed);
-            if (instr_.on())
-                instr_.noteFired();
+            ++ws.fired;
             std::string how;
             if (tracing_) {
                 how = "deliver " + sys_.msgs->displayName(msg.type) +
@@ -3475,16 +2251,13 @@ class ParallelChecker
                     if (r == StepResult::Error || env.failed) {
                         if (flushPending(it, ws))
                             reportError(ErrorKind::ProtocolError,
-                                        env.errorMsg, it.node, "",
-                                        nullptr, false);
+                                        env.errorMsg, it.node);
                         return;
                     }
                     if (r == StepResult::Stalled)
                         continue;
                     ++successors;
-                    firedCount_.fetch_add(1, std::memory_order_relaxed);
-                    if (instr_.on())
-                        instr_.noteFired();
+                    ++ws.fired;
                     std::string how;
                     if (tracing_) {
                         how = "core " + std::to_string(c) + ": " +
@@ -3494,12 +2267,135 @@ class ParallelChecker
                 }
             }
         }
-        flushPending(it, ws);
+        if (!flushPending(it, ws))
+            return;
 
-        if (successors == 0 && !isTerminalState(sys_, cur)) {
-            reportError(ErrorKind::Deadlock, "no enabled event", it.node, "",
-                        nullptr, false);
+        if (successors == 0 && !isTerminalState(sys_, cur))
+            reportError(ErrorKind::Deadlock, "no enabled event", it.node);
+    }
+
+    /** Assemble the result once every worker has exited. */
+    CheckResult
+    finish()
+    {
+        result_.statesExplored = explored_;
+        result_.statesGenerated = generated_.load();
+        result_.transitionsFired = fired_.load();
+        result_.ampleExpansions = ample_.load();
+        if (hasError_) {
+            result_.errorKind = error_.kind;
+            result_.detail = error_.detail;
+            result_.hitStateLimit = error_.kind == ErrorKind::StateLimit;
+            result_.resumable = errorKindResumable(error_.kind);
+            if (tracing_) {
+                buildTrace(error_.node);
+                if (error_.hasBad) {
+                    result_.trace.push_back(
+                        error_.how + "  =>  " +
+                        describeState(sys_, error_.bad));
+                    result_.traceStepsJson.push_back(
+                        "{\"event\": " + obs::jsonQuote(error_.how) +
+                        ", \"state\": " +
+                        describeStateJson(sys_, error_.bad) + "}");
+                }
+            }
         }
+        // Workers are gone: flush a final resume artifact with the
+        // queue exactly as the stop left it.
+        if (result_.resumable)
+            writeCheckpoint();
+        result_.ok = !hasError_;
+        result_.symmetryReduction = symmetry_;
+        result_.partialOrderReduction = por_.enabled;
+        result_.hashCompaction = compaction_;
+        result_.resumedFromCheckpoint = opts_.resume != nullptr;
+        if (compaction_) {
+            // Stern–Dill style bound: expected omitted states is about
+            // n^2 / 2^b for n states hashed into b-bit signatures.
+            double n = static_cast<double>(result_.statesGenerated);
+            result_.omissionProbability = n * n / 1.8446744e19;
+        }
+        if (opts_.phaseTiming && phases_.expansions > 0)
+            finishPhases();
+        if (spill_) {
+            SpillStats vs = tier_.stats();
+            const SpillStats &fs = fqueue_.stats();
+            result_.spilledToDisk =
+                vs.segmentsWritten + fs.segmentsWritten > 0 ||
+                tier_.states() > 0;
+            result_.spilledBytes = vs.spilledBytes + fs.spilledBytes;
+            result_.spillSegmentsWritten =
+                vs.segmentsWritten + fs.segmentsWritten;
+            result_.diskProbes = vs.diskProbes;
+            result_.diskProbeHits = vs.diskHits;
+            result_.spillStallMs =
+                static_cast<double>(vs.stallNs + fs.stallNs) / 1e6;
+            // Segment files outlive the run only while a durable
+            // checkpoint references them: this run's last one, or the
+            // artifact a refused resume was adopting them from.
+            // Otherwise (clean verdict, violation, no checkpoint
+            // configured) they go now.
+            bool keep =
+                (result_.resumable && result_.checkpointsWritten > 0) ||
+                result_.errorKind == ErrorKind::ResumeMismatch;
+            if (!keep) {
+                tier_.removeSegmentFiles();
+                fqueue_.removeSegmentFiles();
+            }
+        }
+        result_.peakRssBytes = util::peakRssBytes();
+        measureTables();  // exact figures for the final sample
+        instr_.finalize(result_, wall_.ms(), visited_.load(),
+                        visitedBytes_.load());
+        return result_;
+    }
+
+    /** Scale the workers' 1-in-8 phase samples back to run totals. */
+    void
+    finishPhases()
+    {
+        const PhaseAcc &a = phases_;
+        CheckResult::PhaseBreakdown &p = result_.phases;
+        double expandScale = static_cast<double>(result_.statesExplored) /
+                             static_cast<double>(a.expansions);
+        double addScale =
+            a.adds ? static_cast<double>(result_.statesGenerated) /
+                         static_cast<double>(a.adds)
+                   : 0.0;
+        p.enabled = true;
+        p.expandMs = a.expandNs * expandScale / 1e6;
+        p.encodeMs = a.encodeNs * addScale / 1e6;
+        p.canonicalizeMs = a.canonNs * addScale / 1e6;
+        p.insertMs = a.insertNs * addScale / 1e6;
+        p.sampledExpansions = a.expansions;
+        if (!a.expandPerf.valid)
+            return;
+        auto scale = [](const obs::PerfCounts &c, double f) {
+            CheckResult::PhaseBreakdown::PerfSample s;
+            s.cycles = static_cast<uint64_t>(
+                static_cast<double>(c.cycles) * f);
+            s.instructions = static_cast<uint64_t>(
+                static_cast<double>(c.instructions) * f);
+            s.cacheMisses = static_cast<uint64_t>(
+                static_cast<double>(c.cacheMisses) * f);
+            s.branchMisses = static_cast<uint64_t>(
+                static_cast<double>(c.branchMisses) * f);
+            return s;
+        };
+        p.perfEnabled = true;
+        p.expandPerf = scale(a.expandPerf, expandScale);
+        p.encodePerf = scale(a.encodePerf, addScale);
+        p.insertPerf = scale(a.insertPerf, addScale);
+        instr_.publishPerf(p);
+        instr_.journalEvent(
+            "perf",
+            {{"expand_cycles", std::to_string(p.expandPerf.cycles)},
+             {"expand_instructions",
+              std::to_string(p.expandPerf.instructions)},
+             {"expand_cache_misses",
+              std::to_string(p.expandPerf.cacheMisses)},
+             {"encode_cycles", std::to_string(p.encodePerf.cycles)},
+             {"insert_cycles", std::to_string(p.insertPerf.cycles)}});
     }
 };
 
@@ -3563,9 +2459,7 @@ check(const System &sys, const CheckOptions &opts)
         if (threads == 0)
             threads = 1;
     }
-    if (threads > 1)
-        return ParallelChecker(sys, opts, threads).run();
-    return Checker(sys, opts).run();
+    return Engine(sys, opts, threads).run();
 }
 
 CheckResult

@@ -107,9 +107,9 @@ struct CheckOptions
      * rank on its message type that rules out ignoring cycles), the
      * checker explores only that delivery from the state instead of
      * the full product of interleavings. The reduced successor
-     * relation is a pure function of the state, so both engines (and
-     * resumed runs, at any thread count) explore the identical
-     * reduced graph. Composes with symmetry reduction. Verdicts,
+     * relation is a pure function of the state, so every thread
+     * count (and every resumed run) explores the identical reduced
+     * graph. Composes with symmetry reduction. Verdicts,
      * deadlock detection, counterexample traces and the Section V-E
      * census are preserved (docs/VERIFIER.md, "Partial-order
      * reduction"); the off switch exists for parity testing and for
@@ -125,18 +125,20 @@ struct CheckOptions
 
     /**
      * Worker threads for state exploration. 0 = one per hardware
-     * thread; 1 = the original sequential algorithm, bit-for-bit.
-     * Any thread count returns the same verdict and, on clean runs,
-     * the same statesExplored / statesGenerated / transitionsFired
-     * (each unique state is expanded exactly once in either mode).
+     * thread. One engine serves every count: one worker explores in
+     * deterministic BFS order (the same first violation, partial
+     * counts and shortest trace on every run); any thread count
+     * returns the same verdict and, on clean runs, the same
+     * statesExplored / statesGenerated / transitionsFired (each
+     * unique state is expanded exactly once).
      */
     unsigned numThreads = 0;
 
     /**
      * Observability sinks (non-owning; see obs/telemetry.hh). When
-     * set, both engines feed live counters a progress heartbeat can
-     * sample, emit per-worker expansion spans to the trace writer,
-     * and publish final totals (checker.states_explored == the
+     * set, the engine feeds live counters a progress heartbeat can
+     * sample, emits per-worker expansion spans to the trace writer,
+     * and publishes final totals (checker.states_explored == the
      * returned statesExplored, dedup hits, symmetry time share, ...)
      * to the metrics registry. Null (the default) disables every
      * instrumentation hook — the hot loop pays one predictable
@@ -147,9 +149,10 @@ struct CheckOptions
     obs::Telemetry *telemetry = nullptr;
 
     /**
-     * Periodic checkpointing: when non-empty, both engines snapshot
+     * Periodic checkpointing: when non-empty, the engine snapshots
      * the exploration (visited set, frontier queue, counters, census
-     * marks) to this path every checkpointIntervalSec seconds and on
+     * marks) to this path on the first control point (see
+     * stopRequested) after each checkpointIntervalSec seconds, and on
      * every resumable abort (state limit, interrupt, memory limit).
      * Writes are atomic — the file is replaced via temp + fsync +
      * rename, so a crash mid-write leaves the previous checkpoint
@@ -169,16 +172,19 @@ struct CheckOptions
     const CheckpointData *resume = nullptr;
 
     /**
-     * Cooperative interrupt: when non-null and set, the engines stop
-     * at the next consistent point, flush a final checkpoint (when a
-     * path is configured) and return errorKind "interrupted". The CLI
-     * points this at its SIGINT/SIGTERM flag.
+     * Cooperative interrupt: when non-null and set, the engine stops
+     * at its next control point, flushes a final checkpoint (when a
+     * path is configured) and returns errorKind "interrupted". The
+     * CLI points this at its SIGINT/SIGTERM flag. Control points are
+     * count-based: before the first expansion, then every 256
+     * expansions — so a flag that is already set always stops the
+     * run, however small.
      */
     const std::atomic<bool> *stopRequested = nullptr;
 
     /**
-     * Cooperative cancellation (non-owning): polled next to
-     * stopRequested in both engines' control loops. Cancellation is
+     * Cooperative cancellation (non-owning): checked next to
+     * stopRequested at every control point. Cancellation is
      * the stronger verb — the run stops with ErrorKind::Cancelled,
      * writes no checkpoint and is not resumable, because the work is
      * no longer wanted (a cancelled service job, an abandoned
@@ -189,8 +195,9 @@ struct CheckOptions
 
     /**
      * Bounded-memory watermark: estimated resident bytes (visited-set
-     * encodings + container overhead + frontier) above which
-     * memoryLimitPolicy fires. 0 disables the watermark.
+     * encodings + container overhead + frontier), checked at every
+     * control point, above which memoryLimitPolicy fires. 0 disables
+     * the watermark.
      */
     uint64_t maxResidentBytes = 0;
     MemoryLimitPolicy memoryLimitPolicy =
@@ -220,11 +227,12 @@ struct CheckOptions
     uint64_t expectedStates = 0;
 
     /**
-     * Sampled per-phase wall-time attribution (sequential engine
-     * only): time 1-in-8 expansions, splitting encode/canonicalize,
-     * visited-table insert, and the remaining expansion work, scaled
-     * back to run totals in CheckResult::phases. Off by default; the
-     * hot loop then pays only a predictable branch.
+     * Sampled per-phase wall-time attribution: each worker times
+     * 1-in-8 of its expansions, splitting encode/canonicalize,
+     * visited-table insert, and the remaining expansion work; the
+     * workers' samples are summed and scaled back to run totals in
+     * CheckResult::phases. Off by default; the hot loop then pays
+     * only a predictable branch.
      */
     bool phaseTiming = false;
 };
@@ -312,8 +320,9 @@ struct CheckResult
 
     /**
      * Sampled wall-time attribution (filled when
-     * CheckOptions::phaseTiming is set and the sequential engine
-     * ran). Semantics: `expandMs` covers whole state expansions
+     * CheckOptions::phaseTiming is set). Times are summed over
+     * workers, so with several they add up to worker time, not wall
+     * time. Semantics: `expandMs` covers whole state expansions
      * including successor generation, encoding and dedup;
      * `encodeMs` covers the baseline bit-pack encode of each
      * successor (nonzero in every mode); `canonicalizeMs` covers the

@@ -410,7 +410,7 @@ SpillTier::segmentContains(const Segment &s, uint64_t fp,
     uint64_t r = (block - 1) * 64;
     char rec[kIndexRecordBytes * 64];
     // Payload-compare scratch; thread-local so concurrent probes
-    // (parallel engine workers) never share a buffer.
+    // (checker workers) never share a buffer.
     thread_local std::string scratch;
     bool done = false;
     while (!done && r < s.count) {

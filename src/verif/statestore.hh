@@ -6,8 +6,8 @@
  * exploration and the visited set. The hot tier is the existing
  * open-addressing StateTable (SIMD group-of-8 probing, append-only
  * arena — see statetable.hh; that fast path is untouched): the
- * sequential engine owns one StateStore, the parallel engine one per
- * shard. The spill tier is a single SpillTier shared by every store:
+ * checker owns one StateStore per visited-set shard (a single shard
+ * when it runs one worker). The spill tier is a single SpillTier shared by every store:
  * a set of immutable on-disk segment files. When the memory watermark
  * fires under MemoryLimitPolicy::SpillToDisk, the live hot tables are
  * flushed together into one new segment — payload encodings followed
@@ -16,8 +16,8 @@
  * checksum — and the hot tables restart empty.
  *
  * The tier is shared (not per shard) so that checkpoint format v3 can
- * reference segments that any resumed run — either engine, any thread
- * count — re-adopts wholesale: a segment holds fingerprints from
+ * reference segments that any resumed run — at any thread count —
+ * re-adopts wholesale: a segment holds fingerprints from
  * every shard, and every shard's store probes the same tier.
  *
  * A probe first consults the hot tier; on miss it walks the spill
@@ -36,11 +36,12 @@
  * Concurrency: sealed segments are immutable and probed with
  * positioned reads (pread), so SpillTier::contains() is safe from any
  * number of threads. Mutation (spillHot, adoptSegment,
- * removeSegmentFiles) must be externally quiesced — the parallel
- * engine runs them at a checkpoint rendezvous with every worker
- * parked, the sequential engine on its single thread. StateStore and
- * SpillableFrontier themselves follow the same discipline as the
- * containers they replace: per-shard mutex, queue mutex.
+ * removeSegmentFiles) must be externally quiesced — the checker
+ * runs them at a rendezvous with every other worker parked, or before
+ * its workers start. StateStore and SpillableFrontier themselves are
+ * unsynchronized; the checker guards them with a per-shard mutex
+ * (skipped when one worker is the only thread touching the shards)
+ * and its queue mutex.
  *
  * SpillableFrontier gives the work queue the same treatment: a FIFO
  * whose middle overflows to bounded segment files (serialized
@@ -283,8 +284,8 @@ class StateStore
  * then swap in the tail. FIFO order is preserved exactly, so a
  * spilled run explores states in the same order as an unlimited one.
  *
- * Not internally synchronized: the sequential engine owns it
- * outright, the parallel engine wraps it behind the queue mutex.
+ * Not internally synchronized: the checker wraps it behind its queue
+ * mutex.
  */
 class SpillableFrontier
 {

@@ -38,9 +38,9 @@
  * sentinel — is tracked by a side flag so no signature is ever
  * silently dropped.
  *
- * The table is not internally synchronized: the sequential engine
- * owns one, the parallel engine wraps one per shard behind the
- * shard mutex (same discipline as the sets it replaces).
+ * The table is not internally synchronized: the checker wraps one per
+ * visited-set shard behind the shard mutex (a lone worker, the only
+ * thread touching its single shard, skips the lock).
  */
 
 #ifndef HIERAGEN_VERIF_STATETABLE_HH

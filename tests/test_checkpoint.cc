@@ -13,8 +13,9 @@
  *
  * Two configurations: flat MSI, 3 caches, atomic, budget 2 (897
  * states — milliseconds) for the determinism sweep, and 4 caches /
- * budget 3 (~12k states, hundreds of milliseconds) where the parallel
- * engine's 50 ms control poll must demonstrably fire mid-run.
+ * budget 3 (~12k states, hundreds of milliseconds) where the engine's
+ * control points (before the first expansion, then every 256
+ * expansions) fire many times mid-run.
  */
 
 #include <gtest/gtest.h>
@@ -78,8 +79,8 @@ smallOpts()
     return o;
 }
 
-/** A run long enough (hundreds of ms) that the parallel engine's
- *  periodic control poll is guaranteed to fire mid-exploration. */
+/** A run long enough (~12k states) that the engine's control points
+ *  fire many times mid-exploration. */
 verif::CheckOptions
 longOpts()
 {
@@ -406,10 +407,23 @@ TEST(Resume, CompactedRunRoundTrips)
 // ---------------------------------------------------------------
 // Interrupt and memory watermark.
 
-TEST(Interrupt, PreSetFlagStopsWithArtifact)
+// Controls are count-based: checked before the first expansion and
+// then every 256 expansions, not on a timer, so a stop flag that is
+// already set, or a watermark already crossed, stops even an
+// 897-state run at every thread count.
+class Interrupt : public ::testing::TestWithParam<unsigned>
+{
+};
+
+class MemoryLimitThreads : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(Interrupt, PreSetFlagStopsWithArtifact)
 {
     std::atomic<bool> stop{true};
     verif::CheckOptions o = smallOpts();
+    o.numThreads = GetParam();
     o.stopRequested = &stop;
     o.checkpointPath = tmpPath("intr.ckpt");
     Protocol p = protocols::builtinProtocol("MSI");
@@ -432,25 +446,11 @@ TEST(Interrupt, PreSetFlagStopsWithArtifact)
     EXPECT_EQ(rr.statesExplored, clean.r.statesExplored);
 }
 
-TEST(Interrupt, ParallelEngineStopsToo)
-{
-    // The parallel engine polls controls every 50 ms, so use the
-    // longer configuration to guarantee the poll lands mid-run.
-    std::atomic<bool> stop{true};
-    verif::CheckOptions o = longOpts();
-    o.numThreads = 4;
-    o.stopRequested = &stop;
-    Protocol p = protocols::builtinProtocol("MSI");
-    auto r = verif::checkFlat(p, kLongCaches, o);
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Interrupted);
-    EXPECT_TRUE(r.resumable);
-}
-
-TEST(MemoryLimit, StopResumableLeavesArtifact)
+TEST_P(MemoryLimitThreads, StopResumableLeavesArtifact)
 {
     verif::CheckOptions o = smallOpts();
-    o.maxResidentBytes = 1;  // trip at the first watermark poll
+    o.numThreads = GetParam();
+    o.maxResidentBytes = 1;  // trip at the first control point
     o.checkpointPath = tmpPath("mem.ckpt");
     Protocol p = protocols::builtinProtocol("MSI");
     auto r = verif::checkFlat(p, kCaches, o);
@@ -473,6 +473,10 @@ TEST(MemoryLimit, StopResumableLeavesArtifact)
     EXPECT_EQ(rr.statesExplored, clean.r.statesExplored);
     EXPECT_EQ(censusOf(resumed).cacheTrans, clean.census.cacheTrans);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, Interrupt, ::testing::Values(1u, 4u));
+INSTANTIATE_TEST_SUITE_P(Threads, MemoryLimitThreads,
+                         ::testing::Values(1u, 4u));
 
 TEST(MemoryLimit, DegradeToCompactionFinishes)
 {

@@ -38,8 +38,9 @@ tmpPath(const std::string &name)
 }
 
 /** Flat MSI, 4 caches, budget 3: ~12k states — enough expansions
- *  that the sequential engine's 1-in-256 control poll fires many
- *  times, so a pre-set stop flag interrupts mid-run. */
+ *  that the engine's control points (before the first expansion,
+ *  then every 256 expansions) fire many times, so a pre-set stop flag
+ *  interrupts well before the end. */
 verif::CheckOptions
 bigOpts()
 {
@@ -123,6 +124,31 @@ TEST(Journal, WriteReplayRoundtrip)
     EXPECT_EQ(rp.count("heartbeat"), 1u);
     EXPECT_EQ(rp.count("no-such-kind"), 0u);
     std::remove(path.c_str());
+}
+
+TEST(Journal, EscapedDetailRoundTrips)
+{
+    // jsonQuote writes control bytes as \u00XX; replay must decode
+    // them (and every other JSON escape) back to the original bytes.
+    std::string path = tmpPath("escapes");
+    std::remove(path.c_str());
+    const std::string detail =
+        std::string("ctl\x01 bell\x07 tab\t quote\" back\\ nl\n end") +
+        '\x1f';
+    obs::Journal j;
+    ASSERT_TRUE(j.open(path)) << j.error();
+    j.event("verdict", {{"ok", "false"},
+                        {"detail", obs::jsonQuote(detail)}},
+            /*durable=*/true);
+    obs::JournalReplay rp = obs::Journal::replay(path);
+    ASSERT_EQ(rp.records.size(), 1u);
+    EXPECT_EQ(rp.records[0].fieldString("detail"), detail);
+    std::remove(path.c_str());
+
+    // Escapes jsonQuote never writes, but a JSON writer may.
+    obs::JournalRecord rec;
+    rec.line = R"({"s":"a\/b\bc\fd\u00e9"})";
+    EXPECT_EQ(rec.fieldString("s"), "a/b\bc\fd\xc3\xa9");
 }
 
 TEST(Journal, TornTailLineIsDropped)
@@ -250,8 +276,8 @@ TEST(JournalAcceptance, InterruptedResumeReplaysToFinalVerdict)
     auto ref = verif::checkFlat(clean, kBigCaches, bigOpts());
     ASSERT_TRUE(ref.ok);
 
-    // Run 1: the stop flag is already set, so the first control poll
-    // (after 256 expansions) interrupts the run and flushes a
+    // Run 1: the stop flag is already set, so the first control
+    // point (before any expansion) interrupts the run and flushes a
     // resumable checkpoint.
     std::atomic<bool> stop{true};
     {

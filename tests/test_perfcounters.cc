@@ -92,13 +92,19 @@ TEST(PerfCounterSet, ReadsAreMonotonicWhenAvailable)
 
 // --- Checker integration --------------------------------------------
 
-TEST(PhaseProfile, PerfFieldsMatchAvailability)
+// Phase attribution is per worker and summed, so it fills at any
+// thread count.
+class PhaseProfile : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(PhaseProfile, PerfFieldsMatchAvailability)
 {
     Protocol p = protocols::builtinProtocol("MSI");
     verif::CheckOptions o;
     o.atomicTransactions = true;
     o.accessBudget = 3;
-    o.numThreads = 1;  // phase attribution is sequential-only
+    o.numThreads = GetParam();
     o.phaseTiming = true;
     auto r = verif::checkFlat(p, 4, o);
     ASSERT_TRUE(r.ok) << r.summary();
@@ -119,19 +125,21 @@ TEST(PhaseProfile, PerfFieldsMatchAvailability)
     }
 }
 
-TEST(PhaseProfile, PerfCountersOffWithoutPhaseTiming)
+TEST_P(PhaseProfile, PerfCountersOffWithoutPhaseTiming)
 {
     Protocol p = protocols::builtinProtocol("MSI");
     verif::CheckOptions o;
     o.atomicTransactions = true;
     o.accessBudget = 2;
-    o.numThreads = 1;
+    o.numThreads = GetParam();
     auto r = verif::checkFlat(p, 2, o);
     ASSERT_TRUE(r.ok);
     EXPECT_FALSE(r.phases.enabled);
     EXPECT_FALSE(r.phases.perfEnabled);
     EXPECT_EQ(r.phases.expandPerf.cycles, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, PhaseProfile, ::testing::Values(1u, 2u));
 
 } // namespace
 } // namespace hieragen

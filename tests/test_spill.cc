@@ -12,7 +12,8 @@
  * the TSan CI job.
  *
  * The cap used throughout is maxResidentBytes = 1: the watermark
- * fires on every poll, so the hot tier flushes whenever it holds a
+ * fires at every control point (before the first expansion, then
+ * every 256 expansions), so the hot tier flushes whenever it holds a
  * segment's worth (64 KiB) of encodings and the frontier overflow
  * window is as small as the engine allows — the most spill-hostile
  * schedule available without patching thresholds.
@@ -50,10 +51,10 @@ tmpPath(const std::string &name)
            name;
 }
 
-/** Flat MSI, 4 caches, budget 3: ~12k states, hundreds of ms — long
- *  enough that the parallel engine's 50 ms control poll (and with it
- *  the watermark) is guaranteed to fire mid-run, and large enough
- *  that the visited arena crosses the 64 KiB segment threshold. */
+/** Flat MSI, 4 caches, budget 3: ~12k states — enough expansions
+ *  that the engine's control points (and with them the watermark)
+ *  fire many times mid-run, and large enough that the visited arena
+ *  crosses the 64 KiB segment threshold. */
 verif::CheckOptions
 bigOpts()
 {
@@ -68,7 +69,7 @@ constexpr int kBigCaches = 4;
 verif::CheckOptions
 spillOpts(verif::CheckOptions o, const std::string &dir)
 {
-    o.maxResidentBytes = 1;  // trip the watermark at every poll
+    o.maxResidentBytes = 1;  // trip the watermark at every control point
     o.memoryLimitPolicy = verif::MemoryLimitPolicy::SpillToDisk;
     o.spillDir = dir;
     return o;
@@ -233,10 +234,9 @@ class SpillResume : public ::testing::TestWithParam<
 
 TEST_P(SpillResume, KillDuringSpillResumesToCleanVerdict)
 {
-    // The parallel engine only polls the watermark every 50 ms, so
-    // the 4-thread kill leg runs the 5-cache configuration — large
-    // enough that several polls (and spills) land before the state
-    // cap at 75% does.
+    // The 4-thread kill leg runs the 5-cache configuration, so many
+    // control points (and spills) land before the state cap at 75%
+    // does.
     auto [killThreads, resumeThreads, caches] = GetParam();
     std::string tag = std::to_string(killThreads) + "-" +
                       std::to_string(resumeThreads);
@@ -369,6 +369,41 @@ TEST(SpillRefusal, CorruptedSegmentRefusedOnResume)
         auto rr = verif::checkFlat(resumed, kBigCaches, ro);
         EXPECT_FALSE(rr.ok) << threads;
         EXPECT_EQ(rr.errorKind, hieragen::ErrorKind::ResumeMismatch) << rr.summary();
+    }
+}
+
+TEST(SpillRefusal, RefusedResumeKeepsAdoptedSegments)
+{
+    // The segments belong to the checkpoint, not to the refused run:
+    // a resume that adopts some segments and then refuses on a later
+    // one must leave every file in place.
+    std::string dir = tmpPath("refused");
+    std::string ckpt = tmpPath("refused.ckpt");
+    Protocol clean = protocols::builtinProtocol("MSI");
+    auto ref = verif::checkFlat(clean, kBigCaches, bigOpts());
+
+    verif::CheckOptions ko = spillOpts(bigOpts(), dir);
+    ko.maxStates = ref.statesExplored * 3 / 4;
+    ko.checkpointPath = ckpt;
+    Protocol killed = protocols::builtinProtocol("MSI");
+    ASSERT_TRUE(verif::checkFlat(killed, kBigCaches, ko).spilledToDisk);
+    verif::CheckpointData data;
+    ASSERT_TRUE(verif::CheckpointReader().read(ckpt, data).ok);
+    ASSERT_GE(data.visitedSegments.size(), 2u);
+
+    // Truncate the last visited segment; its size no longer matches.
+    ASSERT_EQ(::truncate(data.visitedSegments.back().path.c_str(), 8), 0);
+    for (unsigned threads : {1u, kParThreads}) {
+        Protocol resumed = protocols::builtinProtocol("MSI");
+        verif::CheckOptions ro = spillOpts(bigOpts(), dir);
+        ro.numThreads = threads;
+        ro.resume = &data;
+        auto rr = verif::checkFlat(resumed, kBigCaches, ro);
+        EXPECT_EQ(rr.errorKind, hieragen::ErrorKind::ResumeMismatch)
+            << rr.summary();
+        for (const auto &seg : data.visitedSegments)
+            EXPECT_TRUE(std::ifstream(seg.path).good())
+                << threads << " " << seg.path;
     }
 }
 
