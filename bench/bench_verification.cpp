@@ -32,6 +32,7 @@
 #include "bench_common.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
+#include "util/json.hh"
 #include "util/stopwatch.hh"
 
 using namespace hieragen;
@@ -361,17 +362,6 @@ runMicro()
 // ---------------------------------------------------------------
 // --smoke: CI perf guard over one pinned configuration.
 
-/** Pull the first numeric value following "key": from @p json;
- *  -1 when absent (good enough for our own baseline file). */
-double
-jsonNumber(const std::string &json, const std::string &key)
-{
-    size_t at = json.find("\"" + key + "\":");
-    if (at == std::string::npos)
-        return -1.0;
-    return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
-}
-
 /**
  * Perf smoke: best-of-3 sequential runs of MSI/MSI stalling 2H+2L
  * exact — once with partial-order reduction on, once off — each
@@ -395,7 +385,13 @@ runSmoke(const std::string &baseline_path)
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    const std::string baseline = ss.str();
+    util::JsonValue baseline;
+    std::string perr;
+    if (!util::parseJson(ss.str(), baseline, &perr)) {
+        std::cerr << "perf-smoke: bad baseline " << baseline_path
+                  << ": " << perr << "\n";
+        return 2;
+    }
 
     Protocol l = protocols::builtinProtocol("MSI");
     Protocol h = protocols::builtinProtocol("MSI");
@@ -413,14 +409,13 @@ runSmoke(const std::string &baseline_path)
         bool por;
     } legs[] = {{"por_on", true}, {"por_off", false}};
     for (const auto &leg : legs) {
-        // Scope the baseline lookup to this leg's object; an old flat
-        // baseline (no leg keys) serves as the por_on numbers.
-        size_t at = baseline.find(std::string("\"") + leg.key + "\":");
-        std::string scoped = at != std::string::npos
-                                 ? baseline.substr(at)
-                                 : (leg.por ? baseline : std::string());
-        const double baseRate = jsonNumber(scoped, "states_per_sec");
-        const double baseStates = jsonNumber(scoped, "states");
+        const util::JsonValue *base = baseline.find(leg.key);
+        auto baseNumber = [base](const char *key) {
+            const util::JsonValue *v = base ? base->find(key) : nullptr;
+            return v ? v->asNumber(-1.0) : -1.0;
+        };
+        const double baseRate = baseNumber("states_per_sec");
+        const double baseStates = baseNumber("states");
         if (baseRate <= 0) {
             std::cout << "perf-smoke: baseline has no " << leg.key
                       << " leg, skipping\n";

@@ -1,13 +1,12 @@
 #include "obs/journal.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "obs/trace.hh"
+#include "util/json.hh"
 
 namespace hieragen::obs
 {
@@ -15,173 +14,38 @@ namespace hieragen::obs
 namespace
 {
 
-/**
- * Minimal tokenizer over one flat journal line: walks the top-level
- * object key by key, respecting string escapes and balanced nested
- * containers, and returns the raw value text for @p key. Journal
- * records are flat objects we wrote ourselves, but detail strings may
- * contain braces or colons, so a plain substring search is not safe.
- */
-std::string
-topLevelField(const std::string &line, const std::string &key)
-{
-    size_t i = 0;
-    const size_t n = line.size();
-    auto skipWs = [&] {
-        while (i < n && std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-    };
-    auto skipString = [&]() -> size_t {
-        // line[i] == '"'; returns index one past the closing quote.
-        size_t j = i + 1;
-        while (j < n) {
-            if (line[j] == '\\')
-                j += 2;
-            else if (line[j] == '"')
-                return j + 1;
-            else
-                ++j;
-        }
-        return n;
-    };
-    skipWs();
-    if (i >= n || line[i] != '{')
-        return "";
-    ++i;
-    while (i < n) {
-        skipWs();
-        if (i >= n || line[i] == '}')
-            return "";
-        if (line[i] != '"')
-            return "";
-        size_t keyStart = i + 1;
-        size_t keyEnd = skipString();
-        std::string k = line.substr(keyStart, keyEnd - keyStart - 1);
-        i = keyEnd;
-        skipWs();
-        if (i >= n || line[i] != ':')
-            return "";
-        ++i;
-        skipWs();
-        size_t valStart = i;
-        if (i < n && line[i] == '"') {
-            i = skipString();
-        } else if (i < n && (line[i] == '{' || line[i] == '[')) {
-            int depth = 0;
-            while (i < n) {
-                char c = line[i];
-                if (c == '"') {
-                    i = skipString();
-                    continue;
-                }
-                if (c == '{' || c == '[')
-                    ++depth;
-                else if (c == '}' || c == ']') {
-                    --depth;
-                    if (depth == 0) {
-                        ++i;
-                        break;
-                    }
-                }
-                ++i;
-            }
-        } else {
-            while (i < n && line[i] != ',' && line[i] != '}')
-                ++i;
-            while (i > valStart &&
-                   std::isspace(static_cast<unsigned char>(line[i - 1])))
-                --i;
-        }
-        if (k == key)
-            return line.substr(valStart, i - valStart);
-        skipWs();
-        if (i < n && line[i] == ',')
-            ++i;
-    }
-    return "";
-}
-
-std::string
-unquoteJson(const std::string &v)
-{
-    if (v.size() < 2 || v.front() != '"' || v.back() != '"')
-        return "";
-    std::string out;
-    out.reserve(v.size() - 2);
-    const size_t end = v.size() - 1;  // the closing quote
-    for (size_t i = 1; i < end; ++i) {
-        if (v[i] != '\\' || i + 1 >= end) {
-            out.push_back(v[i]);
-            continue;
-        }
-        switch (v[++i]) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-            // jsonQuote writes control bytes as \u00XX; decode any
-            // BMP code point to UTF-8 (surrogate pairs are out of
-            // scope, as in the service's JSON reader).
-            if (i + 4 >= end)
-                return out;
-            unsigned cp = 0;
-            for (int k = 0; k < 4; ++k) {
-                char h = v[++i];
-                if (!std::isxdigit(static_cast<unsigned char>(h)))
-                    return out;
-                cp = cp << 4 |
-                     static_cast<unsigned>(h <= '9' ? h - '0'
-                                                    : (h | 0x20) - 'a' + 10);
-            }
-            if (cp < 0x80) {
-                out.push_back(static_cast<char>(cp));
-            } else if (cp < 0x800) {
-                out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-            } else {
-                out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-                out.push_back(
-                    static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-            }
-            break;
-        }
-        default: out.push_back(v[i]); break;  // \" \\ \/
-        }
-    }
-    return out;
-}
-
 constexpr const char *kCkMarker = ",\"ck\":\"";
+
+/** A journal line as a JSON object; null when it does not parse. */
+util::JsonValue
+parseLine(const std::string &line)
+{
+    util::JsonValue v;
+    if (!util::parseJson(line, v) || !v.isObject())
+        v = util::JsonValue();
+    return v;
+}
 
 } // namespace
 
 std::string
 JournalRecord::field(const std::string &key) const
 {
-    return topLevelField(line, key);
+    util::JsonValue v = parseLine(line);
+    const util::JsonValue *f = v.find(key);
+    return f ? util::writeJson(*f) : "";
 }
 
 uint64_t
 JournalRecord::fieldU64(const std::string &key, uint64_t def) const
 {
-    std::string v = field(key);
-    if (v.empty())
-        return def;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long r = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str())
-        return def;
-    return r;
+    return parseLine(line).uint(key, def);
 }
 
 std::string
 JournalRecord::fieldString(const std::string &key) const
 {
-    return unquoteJson(field(key));
+    return parseLine(line).str(key);
 }
 
 const JournalRecord *
@@ -295,22 +159,23 @@ Journal::replay(const std::string &path)
             uint64_t got = std::strtoull(buf, &end, 16);
             good = (end == buf + 16) && (got == want);
         }
-        if (!good) {
+        util::JsonValue v = good ? parseLine(line) : util::JsonValue();
+        if (!v.isObject()) {
             ++out.droppedLines;
             continue;
         }
         JournalRecord rec;
         rec.line = line;
-        rec.seq = rec.fieldU64("seq");
-        rec.tMs = rec.fieldU64("t_ms");
-        rec.kind = rec.fieldString("kind");
+        rec.seq = v.uint("seq");
+        rec.tMs = v.uint("t_ms");
+        rec.kind = v.str("kind");
         if (rec.kind == "run_start")
             ++out.runStarts;
         if (rec.kind == "verdict") {
             out.hasVerdict = true;
-            out.verdictOk = rec.field("ok") == "true";
-            out.verdictKind = rec.fieldString("error_kind");
-            out.statesExplored = rec.fieldU64("states_explored");
+            out.verdictOk = v.boolean("ok");
+            out.verdictKind = v.str("error_kind");
+            out.statesExplored = v.uint("states_explored");
         }
         out.records.push_back(std::move(rec));
     }

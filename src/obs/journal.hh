@@ -6,12 +6,13 @@
  * write(2) through util::LineAppender (O_APPEND), and carries an
  * FNV-1a checksum of its own bytes in a trailing "ck" field. A crash
  * can tear at most the final line; replay() drops any line whose
- * checksum does not verify, so readers always see a prefix of intact
- * records. Resumed runs append to the same file — the journal is the
- * durable, ordered history of everything a verification did: run
- * identity (options fingerprint, system config hash, build version),
- * phase transitions, checkpoint/spill/degrade events, heartbeat
- * samples, and the final verdict.
+ * checksum does not verify or that util::parseJson rejects, so
+ * readers always see a prefix of intact records. Resumed runs
+ * append to the same file — the journal is the durable, ordered
+ * history of everything a verification did: run identity (options
+ * fingerprint, system config hash, build version), phase
+ * transitions, checkpoint/spill/degrade events, heartbeat samples,
+ * and the final verdict.
  *
  * Writers sit on cold paths only (checkpoint cadence, watermark
  * handling, the progress heartbeat, pass boundaries, run start/end);
@@ -41,7 +42,10 @@ struct JournalRecord
     std::string kind;  ///< event kind ("run_start", "heartbeat", ...)
     std::string line;  ///< the full JSON line as written
 
-    /** Raw JSON value of a top-level field; "" when absent. */
+    // Field reads parse @ref line with util::parseJson.
+
+    /** A top-level field re-rendered as compact JSON; "" when
+     *  absent. */
     std::string field(const std::string &key) const;
     /** Field parsed as an unsigned integer; @p def when absent. */
     uint64_t fieldU64(const std::string &key, uint64_t def = 0) const;

@@ -4,12 +4,9 @@
 #include <cstring>
 #include <sstream>
 
-#ifndef _WIN32
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "obs/metrics.hh"
 
@@ -58,8 +55,6 @@ StatusHub::fields() const
     return fields_;
 }
 
-#ifndef _WIN32
-
 StatusServer::~StatusServer()
 {
     stop();
@@ -71,134 +66,55 @@ StatusServer::start(const std::string &socketPath,
                     const MetricsRegistry *metrics)
 {
     stop();
-    error_.clear();
     hub_ = hub;
     metrics_ = metrics;
-    path_ = socketPath;
-
-    sockaddr_un addr{};
-    if (socketPath.size() >= sizeof(addr.sun_path)) {
-        error_ = "socket path too long: " + socketPath;
-        return false;
-    }
-    errno = 0;
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
-        error_ = std::string("socket: ") + std::strerror(errno);
-        return false;
-    }
-    // A stale socket file from a crashed run blocks bind; remove it.
-    ::unlink(socketPath.c_str());
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    errno = 0;
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listenFd_, 8) != 0) {
-        error_ = "bind/listen '" + socketPath +
-                 "': " + std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    stop_.store(false);
     started_ = std::chrono::steady_clock::now();
     havePrev_ = false;
-    thread_ = std::thread([this] { serveLoop(); });
-    running_.store(true);
-    return true;
+    return server_.start(
+        socketPath,
+        [this](const std::string &verb, int fd) {
+            return handle(verb, fd);
+        },
+        "{\"error\":\"request exceeds 1 MiB without a newline\"}\n");
 }
 
 void
 StatusServer::stop()
 {
-    if (!thread_.joinable()) {
-        if (listenFd_ >= 0) {
-            ::close(listenFd_);
-            listenFd_ = -1;
-        }
-        return;
-    }
-    stop_.store(true);
-    thread_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (!path_.empty())
-        ::unlink(path_.c_str());
-    running_.store(false);
+    server_.stop();
 }
 
-void
-StatusServer::serveLoop()
+bool
+StatusServer::handle(const std::string &verb, int fd)
 {
-    while (!stop_.load()) {
-        pollfd pfd{listenFd_, POLLIN, 0};
-        int r = ::poll(&pfd, 1, 100);
-        if (r <= 0)
-            continue;
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        // Read the request line (bounded, short timeout).
-        std::string req;
-        char buf[256];
-        pollfd cfd{fd, POLLIN, 0};
-        while (req.find('\n') == std::string::npos &&
-               req.size() < 4096) {
-            if (::poll(&cfd, 1, 1000) <= 0)
-                break;
-            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n <= 0)
-                break;
-            req.append(buf, static_cast<size_t>(n));
-        }
-        size_t eol = req.find_first_of("\r\n");
-        std::string verb =
-            eol == std::string::npos ? req : req.substr(0, eol);
-        std::string resp = handle(verb);
-        size_t off = 0;
-        while (off < resp.size()) {
-            ssize_t n = ::send(fd, resp.data() + off,
-                               resp.size() - off, MSG_NOSIGNAL);
-            if (n <= 0)
-                break;
-            off += static_cast<size_t>(n);
-        }
-        ::close(fd);
-    }
+    std::string resp = verb == "status" ? statusJson()
+                                        : scrape(verb, hub_, metrics_);
+    if (resp.empty())
+        resp = "{\"error\":\"unknown verb '" + verb +
+               "' (try status|metrics|prom)\"}\n";
+    util::sendAll(fd, resp);
+    return false;  // one verb per connection: payload, then EOF
 }
 
 std::string
-StatusServer::handle(const std::string &verb)
+StatusServer::scrape(const std::string &verb, const StatusHub *hub,
+                     const MetricsRegistry *metrics)
 {
-    if (verb == "status")
-        return statusJson();
     if (verb == "metrics")
-        return metrics_ ? metrics_->toJson()
-                        : std::string("{\"error\":\"no metrics "
-                                      "registry\"}\n");
-    if (verb == "prom")
-        return promText();
-    return "{\"error\":\"unknown verb '" + verb +
-           "' (try status|metrics|prom)\"}\n";
-}
-
-std::string
-StatusServer::promText()
-{
-    std::string out = metrics_
-                          ? metrics_->toPrometheus()
-                          : std::string("# no metrics registry\n");
+        return metrics ? metrics->toJson()
+                       : std::string("{\"error\":\"no metrics "
+                                     "registry\"}\n");
+    if (verb != "prom")
+        return "";
+    std::string out = metrics ? metrics->toPrometheus()
+                              : std::string("# no metrics registry\n");
     // The registry's run-total counters (checker.states_explored,
     // …) only land at finalize; a scraper watching a live run wants
     // the engine's relaxed-atomic sample too. Exported under
     // hieragen_live_* so the finalize-time families keep their
     // names, and only while an engine is registered.
     ProgressSample s{};
-    if (hub_ != nullptr && hub_->sample(s)) {
+    if (hub != nullptr && hub->sample(s)) {
         std::ostringstream os;
         auto g = [&os](const char *name, uint64_t v) {
             os << "# TYPE hieragen_live_" << name << " gauge\n"
@@ -219,6 +135,8 @@ StatusServer::promText()
 std::string
 StatusServer::statusJson()
 {
+    // Connections are served concurrently; the rate state is shared.
+    std::lock_guard<std::mutex> lock(rateMu_);
     auto now = std::chrono::steady_clock::now();
     double uptime =
         std::chrono::duration<double>(now - started_).count();
@@ -281,32 +199,10 @@ StatusServer::query(const std::string &socketPath,
                     std::string *err)
 {
     out.clear();
-    sockaddr_un addr{};
-    if (socketPath.size() >= sizeof(addr.sun_path)) {
-        if (err)
-            *err = "socket path too long";
+    int fd = util::unixConnect(socketPath, err);
+    if (fd < 0)
         return false;
-    }
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
-        return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    errno = 0;
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        if (err)
-            *err = "connect '" + socketPath +
-                   "': " + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    std::string req = verb + "\n";
-    if (::send(fd, req.data(), req.size(), MSG_NOSIGNAL) < 0) {
+    if (!util::sendAll(fd, verb + "\n")) {
         if (err)
             *err = std::string("send: ") + std::strerror(errno);
         ::close(fd);
@@ -327,56 +223,5 @@ StatusServer::query(const std::string &socketPath,
         *err = "empty response";
     return !out.empty();
 }
-
-#else // _WIN32
-
-StatusServer::~StatusServer() = default;
-
-bool
-StatusServer::start(const std::string &, const StatusHub *,
-                    const MetricsRegistry *)
-{
-    error_ = "status socket requires unix-domain sockets";
-    return false;
-}
-
-void
-StatusServer::stop()
-{
-}
-
-void
-StatusServer::serveLoop()
-{
-}
-
-std::string
-StatusServer::handle(const std::string &)
-{
-    return "";
-}
-
-std::string
-StatusServer::promText()
-{
-    return "";
-}
-
-std::string
-StatusServer::statusJson()
-{
-    return "";
-}
-
-bool
-StatusServer::query(const std::string &, const std::string &,
-                    std::string &, std::string *err)
-{
-    if (err)
-        *err = "status socket requires unix-domain sockets";
-    return false;
-}
-
-#endif
 
 } // namespace hieragen::obs

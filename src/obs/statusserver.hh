@@ -18,23 +18,24 @@
  *                 sample while a run is in flight (the registry's
  *                 run-total families only land at finalize)
  *
- * The response is the full payload followed by EOF. `hieragen status
- * PATH` is the bundled client; anything that can speak AF_UNIX
- * (curl --unix-socket, a scheduler, a dashboard) works the same.
+ * A verb ends at LF or at EOF; the response is the full payload
+ * followed by EOF. Connections are served concurrently (one
+ * util::LineServer thread each). `hieragen status PATH` is the
+ * bundled client; anything that can speak AF_UNIX (curl
+ * --unix-socket, a scheduler, a dashboard) works the same.
  */
 
 #ifndef HIERAGEN_OBS_STATUSSERVER_HH
 #define HIERAGEN_OBS_STATUSSERVER_HH
 
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/progress.hh"
+#include "util/unixsock.hh"
 
 namespace hieragen::obs
 {
@@ -73,10 +74,11 @@ class StatusHub
 };
 
 /**
- * The socket server. start() binds the path (removing a stale socket
- * file first) and spawns one listener thread; stop() (or
- * destruction) shuts it down and unlinks the path. Failure to bind
- * reports through error() and leaves the run unaffected.
+ * The socket server: a util::LineServer answering the verbs above.
+ * start() binds the path (replacing a stale socket file, refusing one
+ * a live server answers on); stop() (or destruction) shuts it down
+ * and unlinks the path. Failure to bind reports through error() and
+ * leaves the run unaffected.
  */
 class StatusServer
 {
@@ -91,9 +93,9 @@ class StatusServer
                const MetricsRegistry *metrics);
     void stop();
 
-    bool running() const { return running_.load(); }
-    const std::string &path() const { return path_; }
-    const std::string &error() const { return error_; }
+    bool running() const { return server_.running(); }
+    const std::string &path() const { return server_.path(); }
+    const std::string &error() const { return server_.error(); }
 
     /**
      * Client side: connect to @p socketPath, send @p verb, return
@@ -104,27 +106,28 @@ class StatusServer
                       const std::string &verb, std::string &out,
                       std::string *err = nullptr);
 
+    /** The `metrics` and `prom` payloads (the service daemon answers
+     *  them too); "" for any other verb. */
+    static std::string scrape(const std::string &verb,
+                              const StatusHub *hub,
+                              const MetricsRegistry *metrics);
+
   private:
-    void serveLoop();
-    std::string handle(const std::string &verb);
-    std::string promText();
+    bool handle(const std::string &verb, int fd);
     std::string statusJson();
 
     const StatusHub *hub_ = nullptr;
     const MetricsRegistry *metrics_ = nullptr;
-    std::string path_;
-    std::string error_;
-    int listenFd_ = -1;
-    std::thread thread_;
-    std::atomic<bool> running_{false};
-    std::atomic<bool> stop_{false};
+    std::chrono::steady_clock::time_point started_{};
 
-    // Rate derivation across successive `status` queries (listener
-    // thread only).
+    // Rate derivation across successive `status` queries, which
+    // may arrive concurrently.
+    std::mutex rateMu_;
     bool havePrev_ = false;
     ProgressSample prev_{};
     std::chrono::steady_clock::time_point prevTime_{};
-    std::chrono::steady_clock::time_point started_{};
+
+    util::LineServer server_;
 };
 
 } // namespace hieragen::obs

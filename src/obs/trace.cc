@@ -6,44 +6,6 @@
 namespace hieragen::obs
 {
 
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream esc;
-                esc << "\\u" << std::hex << std::setw(4)
-                    << std::setfill('0') << static_cast<int>(c);
-                out += esc.str();
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 namespace
 {
 

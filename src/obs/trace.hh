@@ -29,11 +29,12 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hh"
+
 namespace hieragen::obs
 {
 
-/** Escape and double-quote a string for embedding in JSON. */
-std::string jsonQuote(const std::string &s);
+using util::jsonQuote;
 
 /** Reserved track ids (tids) under the single hieragen pid. */
 inline constexpr uint32_t kSimTid = 80;

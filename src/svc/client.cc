@@ -3,19 +3,15 @@
 #include <cerrno>
 #include <cstring>
 
-#ifndef _WIN32
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "svc/proto.hh"
+#include "util/unixsock.hh"
 
 namespace hieragen::svc
 {
-
-#ifndef _WIN32
 
 Client::~Client()
 {
@@ -44,40 +40,21 @@ Client::connect(const std::string &socketPath)
 {
     close();
     error_ = Error();
-    sockaddr_un addr{};
-    if (socketPath.size() >= sizeof(addr.sun_path))
-        return fail(ErrorKind::BadRequest, "socket path too long");
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    std::string err;
+    fd_ = util::unixConnect(socketPath, &err);
     if (fd_ < 0)
-        return fail(ErrorKind::Unavailable,
-                    std::string("socket: ") + std::strerror(errno));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        std::string why = std::strerror(errno);
-        close();
-        return fail(ErrorKind::Unavailable,
-                    "connect '" + socketPath + "': " + why);
-    }
+        return fail(errno == ENAMETOOLONG ? ErrorKind::BadRequest
+                                          : ErrorKind::Unavailable,
+                    err);
     return true;
 }
 
 bool
 Client::sendLine(const std::string &line)
 {
-    std::string framed = line + "\n";
-    size_t off = 0;
-    while (off < framed.size()) {
-        ssize_t n = ::send(fd_, framed.data() + off,
-                           framed.size() - off, MSG_NOSIGNAL);
-        if (n <= 0)
-            return fail(ErrorKind::Unavailable,
-                        std::string("send: ") +
-                            std::strerror(errno));
-        off += static_cast<size_t>(n);
-    }
+    if (!util::sendAll(fd_, line + "\n"))
+        return fail(ErrorKind::Unavailable,
+                    std::string("send: ") + std::strerror(errno));
     return true;
 }
 
@@ -244,20 +221,5 @@ Client::shutdown()
     return call("{\"op\":\"shutdown\"}", reply) &&
            decodeReply(reply);
 }
-
-#else // _WIN32
-
-Client::~Client() = default;
-void Client::close() {}
-
-bool
-Client::connect(const std::string &)
-{
-    error_ = Error(ErrorKind::Unavailable,
-                   "service client requires unix-domain sockets");
-    return false;
-}
-
-#endif
 
 } // namespace hieragen::svc

@@ -1,18 +1,11 @@
 #include "svc/daemon.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
-#ifndef _WIN32
 #include <dirent.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "obs/trace.hh"
 #include "svc/proto.hh"
@@ -21,8 +14,6 @@
 
 namespace hieragen::svc
 {
-
-#ifndef _WIN32
 
 namespace
 {
@@ -71,40 +62,25 @@ Daemon::start()
     if (!recoverStateDir())
         return false;
 
-    sockaddr_un addr{};
-    if (opts_.socketPath.size() >= sizeof(addr.sun_path)) {
-        error_ = "socket path too long: " + opts_.socketPath;
-        return false;
-    }
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
-        error_ = std::string("socket: ") + std::strerror(errno);
-        return false;
-    }
-    ::unlink(opts_.socketPath.c_str());
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opts_.socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listenFd_, 16) != 0) {
-        error_ = "bind/listen '" + opts_.socketPath +
-                 "': " + std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-
     stopping_.store(false);
     stopRequested_.store(false);
     started_ = std::chrono::steady_clock::now();
     if (opts_.workers == 0)
         opts_.workers = 1;
+    if (!server_.start(
+            opts_.socketPath,
+            [this](const std::string &line, int fd) {
+                return serveLine(line, fd);
+            },
+            errorFrame(Error(ErrorKind::BadRequest,
+                             "frame exceeds 1 MiB without a newline")))) {
+        error_ = server_.error();
+        return false;
+    }
     workers_.reserve(opts_.workers);
     for (unsigned i = 0; i < opts_.workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });
     schedulerThread_ = std::thread([this] { schedulerLoop(); });
-    listenThread_ = std::thread([this] { listenLoop(); });
     running_.store(true);
     return true;
 }
@@ -151,24 +127,15 @@ Daemon::stop()
     }
     cv_.notify_all();
     doneCv_.notify_all();
-    if (listenThread_.joinable())
-        listenThread_.join();
-    // Connection threads are detached; wait for them to notice the
-    // stop flag (their polls run on a 200ms cadence).
-    while (activeConns_.load() > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Follow-mode result streams end on stopping_; idle connections
+    // notice the server's stop within one poll.
+    server_.stop();
     for (auto &w : workers_)
         if (w.joinable())
             w.join();
     workers_.clear();
     if (schedulerThread_.joinable())
         schedulerThread_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (!opts_.socketPath.empty())
-        ::unlink(opts_.socketPath.c_str());
     running_.store(false);
 }
 
@@ -510,81 +477,13 @@ Daemon::runJob(const JobPtr &job)
 // ---------------------------------------------------------------
 // Socket I/O
 
-void
-Daemon::listenLoop()
-{
-    while (!stopping_.load()) {
-        pollfd pfd{listenFd_, POLLIN, 0};
-        int r = ::poll(&pfd, 1, 100);
-        if (r <= 0)
-            continue;
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        activeConns_.fetch_add(1);
-        std::thread([this, fd] {
-            connectionLoop(fd);
-            activeConns_.fetch_sub(1);
-        }).detach();
-    }
-}
-
 bool
-Daemon::sendAll(int fd, const std::string &data)
+Daemon::serveLine(const std::string &line, int fd)
 {
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-void
-Daemon::connectionLoop(int fd)
-{
-    std::string buf;
-    char chunk[4096];
-    bool open = true;
-    while (open && !stopping_.load()) {
-        size_t eol = buf.find('\n');
-        if (eol == std::string::npos) {
-            if (buf.size() > 1 << 20) {
-                sendAll(fd, errorFrame(Error(
-                                ErrorKind::BadRequest,
-                                "frame exceeds 1 MiB without a "
-                                "newline")));
-                break;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            int r = ::poll(&pfd, 1, 200);
-            if (r < 0)
-                break;
-            if (r == 0)
-                continue;  // re-check stopping_
-            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                break;  // peer closed
-            buf.append(chunk, static_cast<size_t>(n));
-            continue;
-        }
-        std::string line = buf.substr(0, eol);
-        buf.erase(0, eol + 1);
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        metrics_.counter("svc.frames_rx").add();
-        bool keepOpen = true;
-        std::string resp = handleFrame(line, fd, keepOpen);
-        if (!resp.empty() && !sendAll(fd, resp))
-            break;
-        open = keepOpen;
-    }
-    ::close(fd);
+    metrics_.counter("svc.frames_rx").add();
+    bool keepOpen = true;
+    std::string resp = handleFrame(line, fd, keepOpen);
+    return (resp.empty() || util::sendAll(fd, resp)) && keepOpen;
 }
 
 std::string
@@ -633,10 +532,9 @@ Daemon::bareVerb(const std::string &verb)
 {
     if (verb == "status")
         return daemonStatusJson();
-    if (verb == "metrics")
-        return metrics_.toJson();
-    if (verb == "prom")
-        return metrics_.toPrometheus();
+    std::string out = obs::StatusServer::scrape(verb, nullptr, &metrics_);
+    if (!out.empty())
+        return out;
     return "{\"error\":\"unknown verb '" + verb +
            "' (try status|metrics|prom or a JSON frame)\"}\n";
 }
@@ -759,7 +657,7 @@ Daemon::handleResult(const JsonValue &req, int fd, bool &keepOpen)
             okFrame(",\"event\":\"progress\",\"status\":" +
                     jobStatusToJson(statusOf(job)));
         lk.unlock();
-        if (!sendAll(fd, frame)) {
+        if (!util::sendAll(fd, frame)) {
             keepOpen = false;
             return "";
         }
@@ -795,23 +693,5 @@ Daemon::handleResult(const JsonValue &req, int fd, bool &keepOpen)
         out += ",\"result\":" + resultJson;
     return okFrame(out);
 }
-
-#else // _WIN32
-
-Daemon::Daemon(ServeOptions opts) : opts_(std::move(opts)) {}
-Daemon::~Daemon() = default;
-
-bool
-Daemon::start()
-{
-    error_ = "hieragen serve requires unix-domain sockets";
-    return false;
-}
-
-void Daemon::stop() {}
-void Daemon::requestStop() {}
-int Daemon::waitUntilStopped() { return 1; }
-
-#endif
 
 } // namespace hieragen::svc

@@ -27,10 +27,10 @@
  * restarted on the same state directory re-enqueues and resumes
  * them.
  *
- * The socket also answers the bare status/metrics/prom verbs with
- * the same payload shapes as obs::StatusServer, so existing scrape
- * tooling (`hieragen status SOCK metrics`) works unchanged against a
- * daemon.
+ * The socket (a util::LineServer) also answers the bare
+ * status/metrics/prom verbs; metrics and prom are rendered by
+ * obs::StatusServer::scrape, so existing scrape tooling (`hieragen
+ * status SOCK metrics`) works unchanged against a daemon.
  */
 
 #ifndef HIERAGEN_SVC_DAEMON_HH
@@ -54,6 +54,7 @@
 #include "svc/json.hh"
 #include "util/cancel.hh"
 #include "util/errors.hh"
+#include "util/unixsock.hh"
 
 namespace hieragen::svc
 {
@@ -130,12 +131,11 @@ class Daemon
     using JobPtr = std::shared_ptr<Job>;
 
     // Threads.
-    void listenLoop();
-    void connectionLoop(int fd);
     void workerLoop();
     void schedulerLoop();
 
-    // RPC dispatch (connection threads).
+    // RPC dispatch (server_'s connection threads).
+    bool serveLine(const std::string &line, int fd);
     std::string handleFrame(const std::string &line, int fd,
                             bool &keepOpen);
     std::string handleSubmit(const JsonValue &req);
@@ -155,7 +155,6 @@ class Daemon
     bool recoverStateDir();
     api::JobStatus statusOf(const JobPtr &job);  ///< mu_ held
     std::string jobPath(uint64_t id, const char *suffix) const;
-    bool sendAll(int fd, const std::string &data);
 
     ServeOptions opts_;
     std::string error_;
@@ -171,15 +170,13 @@ class Daemon
     uint64_t nextId_ = 1;
     unsigned runningJobs_ = 0;
 
-    int listenFd_ = -1;
-    std::thread listenThread_;
     std::thread schedulerThread_;
     std::vector<std::thread> workers_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
     std::atomic<bool> stopRequested_{false};
-    std::atomic<int> activeConns_{0};
     std::chrono::steady_clock::time_point started_{};
+    util::LineServer server_;  ///< its threads use everything above
 };
 
 } // namespace hieragen::svc

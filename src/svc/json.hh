@@ -1,88 +1,20 @@
 /**
  * @file
- * Minimal JSON reader for the service wire protocol.
- *
- * The daemon and client exchange line-delimited JSON frames
- * (docs/SERVICE.md); the same reader decodes frames off the socket
- * and job records out of the daemon's state directory. Writing stays
- * string-built (obs::jsonQuote plus formatting), as everywhere else
- * in the tree — this header only adds the missing direction.
- *
- * Scope: standard JSON minus surrogate-pair \u escapes (the wire
- * never carries them; a lone \uXXXX below 0x80 decodes, the rest
- * pass through verbatim). Numbers keep their source text so 64-bit
- * ids survive the double round-trip.
+ * The service's JSON names; the reader and writer live in
+ * util/json.hh.
  */
 
 #ifndef HIERAGEN_SVC_JSON_HH
 #define HIERAGEN_SVC_JSON_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
+#include "util/json.hh"
 
 namespace hieragen::svc
 {
 
-/** One parsed JSON value; a tree of these backs every frame. */
-class JsonValue
-{
-  public:
-    enum class Type { Null, Bool, Number, String, Object, Array };
-
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isObject() const { return type_ == Type::Object; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isString() const { return type_ == Type::String; }
-    bool isNumber() const { return type_ == Type::Number; }
-    bool isBool() const { return type_ == Type::Bool; }
-
-    /** Typed reads with a default for absent/mistyped values. */
-    bool asBool(bool dflt = false) const;
-    double asNumber(double dflt = 0.0) const;
-    uint64_t asUint(uint64_t dflt = 0) const;
-    const std::string &asString() const;  ///< "" unless String
-
-    /** Object member lookup; null when not an object / no member. */
-    const JsonValue *find(const std::string &key) const;
-
-    /** Convenience: member's string/uint/bool, default if absent. */
-    std::string str(const std::string &key,
-                    const std::string &dflt = "") const;
-    uint64_t uint(const std::string &key, uint64_t dflt = 0) const;
-    bool boolean(const std::string &key, bool dflt = false) const;
-
-    /** Array elements (empty unless Array). */
-    const std::vector<JsonValue> &items() const { return items_; }
-
-    /** Object members in source order (empty unless Object). */
-    const std::vector<std::pair<std::string, JsonValue>> &
-    members() const
-    {
-        return members_;
-    }
-
-  private:
-    friend class Parser;
-    Type type_ = Type::Null;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string text_;  ///< String value, or Number source text
-    std::vector<JsonValue> items_;
-    std::vector<std::pair<std::string, JsonValue>> members_;
-};
-
-/** Parse one JSON document. False (with @p err when given) on any
- *  syntax error or trailing garbage. */
-bool parseJson(std::string_view text, JsonValue &out,
-               std::string *err = nullptr);
-
-/** Re-render a parsed value as compact JSON (member order
- *  preserved; numbers keep their source text). */
-std::string writeJson(const JsonValue &v);
+using util::JsonValue;
+using util::parseJson;
+using util::writeJson;
 
 } // namespace hieragen::svc
 
