@@ -5,9 +5,11 @@
  * PerfCounterSet wraps one perf_event_open() group — cycles (leader),
  * instructions, cache-misses, branch-misses — read with a single
  * syscall per sample (PERF_FORMAT_GROUP). Each checker worker opens
- * its own set and samples it around the same 1-in-8 expansions
- * `--phases` already wall-clocks, attributing cycles/misses to the
- * expand, encode and insert buckets; the workers' counts are summed.
+ * its own set and samples it around the same expansions `--phases`
+ * already wall-clocks (whole expansions on one 1-in-8 sample, the
+ * encode and insert sections on a disjoint one), attributing
+ * cycles/misses to the expand, encode and insert buckets; the
+ * workers' counts are summed.
  *
  * Construction degrades gracefully: on non-Linux builds, in
  * containers without perf_event access (EACCES under

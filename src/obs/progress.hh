@@ -42,15 +42,14 @@ struct ProgressSample
     uint64_t visitedEntries = 0;   ///< states accepted into the set
     uint64_t shardsOccupied = 0;   ///< visited shards holding >= 1
     uint64_t shardCount = 0;       ///< 0 for the unsharded engine
-    /** Modelled working-set bytes: the sum of the measured
-     *  components below, with per-component heuristic fallbacks
-     *  where no measurement has been published yet. Compare against
-     *  rssBytes (the ground truth) — the heartbeat prints both as
-     *  `est X, rss Y`. */
+    /** Modelled working-set bytes: the visited tables and the
+     *  frontier below, plus the spill tier's in-memory indexes and
+     *  the trace log. Compare against rssBytes (the ground truth) —
+     *  the heartbeat prints both as `est X, rss Y`. */
     uint64_t estMemoryBytes = 0;
     uint64_t tableBytes = 0;       ///< measured visited-table bytes
-    uint64_t frontierBytes = 0;    ///< measured BFS frontier bytes
-    uint64_t traceArenaBytes = 0;  ///< measured trace-arena bytes
+    /** In-memory frontier states at the mean decoded state size. */
+    uint64_t frontierBytes = 0;
     double tableLoadFactor = 0.0;  ///< entries / slots, 0 when unknown
     /**
      * Orbit-walk nanoseconds on sampled canonicalize calls. This is

@@ -549,6 +549,65 @@ findViolation(const System &sys, const SysState &st)
 }
 
 /**
+ * One edge of the state graph: which successor of its parent a state
+ * is. A delivery names the parent's msgs[index] (Ample when partial-
+ * order reduction chose it as the only successor); a core access
+ * names a leaf index and the access. Init and Resumed mark roots: the
+ * initial state, and frontier state `index` of the checkpoint the run
+ * resumed from.
+ */
+struct Step
+{
+    enum class Kind : uint8_t { Init, Resumed, Deliver, Ample, Access };
+    Kind kind = Kind::Init;
+    Access access = Access::Load;
+    uint32_t index = 0;
+};
+
+/** Execute @p step from @p cur into @p next. The one successor
+ *  computation expansion, the ample probe and trace replay share. */
+StepResult
+applyStep(const System &sys, const SysState &cur, Step step,
+          SysState &next, StateEnv &env, bool mark_reached)
+{
+    env.state = &next;
+    if (step.kind == Step::Kind::Access) {
+        NodeId c = sys.leafCaches[step.index];
+        next = cur;
+        next.budget[step.index] -= 1;
+        return deliverEvent(sys.nodes[c], *sys.msgs, next.blocks[c],
+                            EventKey::mkAccess(step.access), nullptr,
+                            env, mark_reached);
+    }
+    const Msg msg = cur.msgs[step.index];
+    next.assignWithoutMsg(cur, step.index);
+    return deliverMsg(sys.nodes[msg.dst], *sys.msgs,
+                      next.blocks[msg.dst], msg, env, mark_reached);
+}
+
+/** The trace label of @p step taken from @p parent. */
+std::string
+stepLabel(const System &sys, const SysState &parent, Step step)
+{
+    switch (step.kind) {
+    case Step::Kind::Init:
+        return "init";
+    case Step::Kind::Resumed:
+        return "resumed";
+    case Step::Kind::Access:
+        return "core " + std::to_string(sys.leafCaches[step.index]) +
+               ": " + toString(step.access);
+    case Step::Kind::Deliver:
+    case Step::Kind::Ample:
+        break;
+    }
+    const Msg &msg = parent.msgs[step.index];
+    return "deliver " + sys.msgs->displayName(msg.type) + " " +
+           std::to_string(msg.src) + "->" + std::to_string(msg.dst) +
+           (step.kind == Step::Kind::Ample ? " [ample]" : "");
+}
+
+/**
  * Static per-System context for partial-order reduction (POR).
  *
  * The checker's interleaving explosion comes from delivering every
@@ -858,14 +917,11 @@ porTryAmple(const PorContext &por, const CheckOptions &opts,
             continue;
         if (++probes > kPorProbeLimit)
             break;
-        const Msg msg = cur.msgs[mi];
-        next.assignWithoutMsg(cur, mi);
         StateEnv env;
-        env.state = &next;
-        StepResult r = deliverMsg(
-            sys.nodes[static_cast<size_t>(msg.dst)], *sys.msgs,
-            next.blocks[static_cast<size_t>(msg.dst)], msg, env,
-            opts.markReached);
+        StepResult r = applyStep(
+            sys, cur, {Step::Kind::Ample, Access::Load,
+                       static_cast<uint32_t>(mi)},
+            next, env, opts.markReached);
         if (r == StepResult::Error || env.failed) {
             err_msg = env.errorMsg;
             return PorOutcome::Error;
@@ -874,7 +930,8 @@ porTryAmple(const PorContext &por, const CheckOptions &opts,
             mask[mi] = 0;
             continue;
         }
-        if (!porInvisible(sys, cur, next, msg.dst, env.loadCalled))
+        if (!porInvisible(sys, cur, next, cur.msgs[mi].dst,
+                          env.loadCalled))
             continue;
         ample_idx = mi;
         return PorOutcome::Ample;
@@ -889,10 +946,16 @@ porTryAmple(const PorContext &por, const CheckOptions &opts,
  * of one FIFO queue, buffer the successors they accept and append
  * them with one queue-lock acquisition per batch. The visited set is
  * split by state fingerprint into independently locked shards (one
- * shard when there is one worker). Counterexample traces come from a
- * trace arena holding every accepted state with its parent and event
- * label; in tracing mode the arena's unexpanded tail *is* the queue,
- * so a state is stored once and expanded in place.
+ * shard when there is one worker).
+ *
+ * Traces. A tracing run keeps no states beyond what an untraced run
+ * keeps: it appends one 16-byte trace-log entry (parent node + Step)
+ * per accepted state. A node id is the state's position in the FIFO's
+ * push order, which is also its pop order; flush() appends and
+ * takeBatch() numbers under the queue lock. On a violation,
+ * buildTrace() walks the parents back to a root (the initial state or
+ * a checkpoint frontier state) and rebuilds every state on the path by
+ * replaying its steps, exactly as the expansion computed them.
  *
  * Order and determinism. A batch is the next kBatch states of the
  * FIFO and its successors are appended in generation order, so one
@@ -1002,6 +1065,7 @@ class Engine
 
   private:
     static constexpr size_t kBatch = 32;
+    static constexpr size_t kMaxTraceNodes = 200;
     static constexpr uint64_t kControlEvery = 256;
 
     /** stop_ values: how workers react to a reported error. */
@@ -1017,40 +1081,33 @@ class Engine
         StateStore store;
     };
 
-    /** An accepted state with its trace link: the trace arena's
-     *  element, and a worker's buffer of successors awaiting
-     *  enqueue. */
-    struct TraceNode
-    {
-        SysState state;
-        size_t parent;
-        std::string how;
-    };
+    static constexpr uint64_t kNoNode = UINT64_MAX;
 
-    /**
-     * The trace arena: append-only, with stable element addresses so
-     * a worker can expand a queued node in place while others append.
-     * Nodes sit in large contiguous chunks because the queue reads
-     * them in order; std::deque's 512-byte blocks scatter them among
-     * the states' own buffers, which cost 3-8% on a one-worker run.
-     */
-    class TraceArena
+    /** A trace-log entry: how a state was reached. */
+    struct TraceEntry
+    {
+        uint64_t parent = kNoNode;  ///< a root's is kNoNode
+        Step step;
+    };
+    static_assert(sizeof(TraceEntry) <= 16);
+
+    /** The trace log: append-only, in fixed chunks, so growing it
+     *  never copies what is already logged. */
+    class TraceLog
     {
       public:
-        TraceNode &
-        operator[](size_t i)
+        const TraceEntry &
+        operator[](uint64_t i) const
         {
             return chunks_[i >> kShift][i & (kChunk - 1)];
         }
 
-        size_t size() const { return size_; }
-
         void
-        push_back(TraceNode &&n)
+        push_back(const TraceEntry &e)
         {
             if (size_ == chunks_.size() * kChunk)
-                chunks_.push_back(std::make_unique<TraceNode[]>(kChunk));
-            (*this)[size_++] = std::move(n);
+                chunks_.push_back(std::make_unique<TraceEntry[]>(kChunk));
+            chunks_.back()[size_++ & (kChunk - 1)] = e;
         }
 
         void
@@ -1060,19 +1117,32 @@ class Engine
             size_ = 0;
         }
 
+        uint64_t
+        bytes() const
+        {
+            return chunks_.size() * kChunk * sizeof(TraceEntry);
+        }
+
       private:
-        static constexpr size_t kShift = 10, kChunk = size_t{1} << kShift;
-        std::vector<std::unique_ptr<TraceNode[]>> chunks_;
-        size_t size_ = 0;
+        static constexpr uint64_t kShift = 12,
+                                  kChunk = uint64_t{1} << kShift;
+        std::vector<std::unique_ptr<TraceEntry[]>> chunks_;
+        uint64_t size_ = 0;
     };
 
-    /** A state taken for expansion. In tracing mode `state` points
-     *  into the trace arena (whose elements never move); otherwise
-     *  into the worker's popped buffer. */
+    /** A state taken for expansion (in the worker's popped buffer)
+     *  and its node id. */
     struct Item
     {
         const SysState *state;
-        size_t node;  ///< arena index (SIZE_MAX when not tracing)
+        uint64_t node;
+    };
+
+    /** An accepted successor awaiting enqueue. */
+    struct Accepted
+    {
+        SysState state;
+        TraceEntry link;
     };
 
     /**
@@ -1088,7 +1158,7 @@ class Engine
         SysState st;
         std::string enc;
         uint64_t hash = 0;
-        std::string how;
+        Step step;
     };
 
     /** Sampled phase attribution (CheckOptions::phaseTiming), kept
@@ -1119,8 +1189,8 @@ class Engine
     struct WorkerCtx
     {
         std::vector<Item> batch;
-        std::vector<SysState> popped;  ///< batch storage (!tracing)
-        std::vector<TraceNode> accepted;
+        std::vector<SysState> popped;  ///< the batch's states
+        std::vector<Accepted> accepted;
         std::vector<char> mask;
         EncodeScratch esc;  ///< canonicalization buffers
         std::vector<PendingSucc> pend;  ///< staging slot pool
@@ -1129,39 +1199,32 @@ class Engine
         uint64_t generated = 0, fired = 0, ample = 0;
         uint64_t visited = 0, visitedBytes = 0;
 
-        // Phase timing: 1-in-8 expansions are sampled; hardware
-        // counters (null where perf_event_open is unusable) ride the
-        // same sample.
-        bool sampling = false;
+        // Phase timing: 2-in-8 expansions are sampled (see
+        // expandSampled); hardware counters (null where
+        // perf_event_open is unusable) ride the same samples.
+        bool sampling = false;  ///< time the inner sections
         unsigned phaseTick = 0;
         util::Stopwatch sw;
         std::unique_ptr<obs::PerfCounterSet> perf;
         PhaseAcc phase;
     };
 
+    /** The first error. Its trace ends at `node`, then takes `step`
+     *  from there when the violation is in a successor. */
     struct ErrorSlot
     {
         ErrorKind kind = ErrorKind::None;
         std::string detail;
-        size_t node = SIZE_MAX;
-        std::string how;
-        SysState bad;
-        bool hasBad = false;
+        uint64_t node = kNoNode;
+        std::optional<Step> step;
     };
 
     /** Measured memory components (see footprint()). */
     struct Footprint
     {
-        uint64_t table = 0, tier = 0, frontier = 0, arena = 0;
-        bool tracing = false;
+        uint64_t table = 0, tier = 0, frontier = 0, log = 0;
 
-        /** Resident estimate: in tracing mode the frontier is part of
-         *  the arena, which keeps every accepted state. */
-        uint64_t
-        total() const
-        {
-            return table + tier + (tracing ? arena : frontier);
-        }
+        uint64_t total() const { return table + tier + frontier + log; }
     };
 
     const System &sys_;
@@ -1191,9 +1254,9 @@ class Engine
     // The work queue, guarded by qMu_.
     std::mutex qMu_;
     std::condition_variable qCv_;
-    TraceArena arena_;  ///< tracing: [head_, end) queued
-    size_t head_ = 0;
-    SpillableFrontier fqueue_;  ///< the queue when not tracing
+    SpillableFrontier fqueue_;
+    TraceLog log_;  ///< one entry per pushed state while tracing_
+    uint64_t popped_ = 0;  ///< states taken: the next node id
     size_t pending_ = 0;  ///< queued + currently-expanding states
     uint64_t explored_ = 0;  ///< expansions claimed (the state cap)
     uint64_t nextControl_ = kControlEvery;
@@ -1247,25 +1310,12 @@ class Engine
         fqueue_.configure(dir, "frontier");
     }
 
-    /** Frontier emptiness/size; caller holds qMu_. */
-    bool
-    queueEmptyLocked() const
-    {
-        return tracing_ ? head_ == arena_.size() : fqueue_.empty();
-    }
-
-    uint64_t
-    queueSizeLocked() const
-    {
-        return tracing_ ? arena_.size() - head_ : fqueue_.size();
-    }
-
     /** Record the first error and stop the workers: a resumable one
      *  lets them finish their batch, anything else aborts it. */
     void
     reportError(ErrorKind kind, std::string detail,
-                size_t node = SIZE_MAX, std::string how = "",
-                const SysState *bad = nullptr)
+                uint64_t node = kNoNode,
+                std::optional<Step> step = std::nullopt)
     {
         {
             std::lock_guard<std::mutex> lk(errMu_);
@@ -1275,11 +1325,7 @@ class Engine
             error_.kind = kind;
             error_.detail = std::move(detail);
             error_.node = node;
-            error_.how = std::move(how);
-            if (bad) {
-                error_.bad = *bad;
-                error_.hasBad = true;
-            }
+            error_.step = step;
         }
         {
             std::lock_guard<std::mutex> lk(qMu_);
@@ -1295,15 +1341,14 @@ class Engine
     {
         WorkerCtx ws;
         pendSlot(ws).st = initialState(sys_, opts_.accessBudget);
-        stagePending(ws, "init");
+        stagePending(ws, Step{});
         PendingSucc &p = ws.pend[0];
         insertVisited(ws, p.hash, p.enc);
         if (auto v = findViolation(sys_, p.st))
-            reportError(v->kind, v->detail, SIZE_MAX, "init", &p.st);
+            reportError(v->kind, v->detail, kNoNode, Step{});
         if (tracing_)
-            arena_.push_back({std::move(p.st), SIZE_MAX, "init"});
-        else
-            fqueue_.push(std::move(p.st));
+            log_.push_back({});
+        fqueue_.push(std::move(p.st));
         pending_ = 1;
         publishCounts(ws);
     }
@@ -1346,10 +1391,10 @@ class Engine
                     return stop_.load(std::memory_order_relaxed) ||
                            parkRequest_.load(
                                std::memory_order_relaxed) ||
-                           !queueEmptyLocked() || pending_ == 0;
+                           !fqueue_.empty() || pending_ == 0;
                 });
                 if (stop_.load(std::memory_order_relaxed) ||
-                    (queueEmptyLocked() && pending_ == 0)) {
+                    (fqueue_.empty() && pending_ == 0)) {
                     break;
                 }
                 if (parkRequest_.load(std::memory_order_relaxed))
@@ -1388,8 +1433,7 @@ class Engine
                 // Free a popped state at once, as a pop-and-free loop
                 // would: its buffers, still hot in cache, are what the
                 // next successors allocate.
-                if (!tracing_)
-                    ws.popped[consumed] = SysState();
+                ws.popped[consumed] = SysState();
                 ++consumed;
                 chunker.bump();
             }
@@ -1418,23 +1462,18 @@ class Engine
             allowed = opts_.maxStates - explored_;
         }
         size_t take = static_cast<size_t>(std::min<uint64_t>(
-            std::min<uint64_t>(queueSizeLocked(), kBatch), allowed));
+            std::min<uint64_t>(fqueue_.size(), kBatch), allowed));
         ws.batch.clear();
-        if (tracing_) {
-            for (size_t i = 0; i < take; ++i, ++head_)
-                ws.batch.push_back({&arena_[head_].state, head_});
-        } else {
-            ws.popped.resize(take);
-            for (size_t i = 0; i < take; ++i) {
-                if (!fqueue_.pop(ws.popped[i])) {
-                    err = fqueue_.error().empty()
-                              ? "frontier segment load failed"
-                              : fqueue_.error();
-                    take = i;
-                    break;
-                }
-                ws.batch.push_back({&ws.popped[i], SIZE_MAX});
+        ws.popped.resize(take);
+        for (size_t i = 0; i < take; ++i) {
+            if (!fqueue_.pop(ws.popped[i])) {
+                err = fqueue_.error().empty()
+                          ? "frontier segment load failed"
+                          : fqueue_.error();
+                take = i;
+                break;
             }
+            ws.batch.push_back({&ws.popped[i], popped_++});
         }
         explored_ += take;
         return true;
@@ -1452,17 +1491,15 @@ class Engine
         {
             std::lock_guard<std::mutex> lk(qMu_);
             explored_ -= ws.batch.size() - consumed;
-            if (tracing_) {
-                for (TraceNode &a : ws.accepted)
-                    arena_.push_back(std::move(a));
-            } else {
-                for (TraceNode &a : ws.accepted)
-                    fqueue_.push(std::move(a.state));
-                ferr = fqueue_.error();
+            for (Accepted &a : ws.accepted) {
+                if (tracing_)
+                    log_.push_back(a.link);
+                fqueue_.push(std::move(a.state));
             }
+            ferr = fqueue_.error();
             pending_ += ws.accepted.size();
             pending_ -= ws.batch.size();
-            wake = pending_ == 0 || !queueEmptyLocked();
+            wake = pending_ == 0 || !fqueue_.empty();
         }
         ws.accepted.clear();
         if (!ferr.empty())
@@ -1601,8 +1638,9 @@ class Engine
      * Engine-owned memory accounting behind the watermark and the
      * heartbeat (so the watermark works with telemetry off): shard
      * table bytes (slot arrays + arena chunks) as of the last
-     * control point, the spill tier's in-memory indexes, and decoded
-     * states at the average state size. Safe from any thread.
+     * control point, the spill tier's in-memory indexes, in-memory
+     * frontier states at the average state size, and the trace log's
+     * allocated bytes. Safe from any thread.
      */
     Footprint
     footprint()
@@ -1612,11 +1650,8 @@ class Engine
         f.tier = tierBytes_.load(std::memory_order_relaxed);
         uint64_t avg = avgStateBytes();
         std::lock_guard<std::mutex> lk(qMu_);
-        f.tracing = tracing_;
-        f.frontier = (tracing_ ? arena_.size() - head_
-                               : fqueue_.memStates()) *
-                     avg;
-        f.arena = tracing_ ? arena_.size() * avg : 0;
+        f.frontier = fqueue_.memStates() * avg;
+        f.log = log_.bytes();
         return f;
     }
 
@@ -1629,7 +1664,7 @@ class Engine
         {
             std::lock_guard<std::mutex> lk(qMu_);
             s.statesExplored = explored_;
-            s.queueDepth = queueSizeLocked();
+            s.queueDepth = fqueue_.size();
             SpillStats fs = fqueue_.stats();
             SpillStats vs = tier_.stats();
             s.spilledBytes = vs.spilledBytes + fs.spilledBytes;
@@ -1655,7 +1690,6 @@ class Engine
                         static_cast<double>(slots)
                   : 0.0;
         s.frontierBytes = f.frontier;
-        s.traceArenaBytes = f.arena;
         s.estMemoryBytes = f.total();
         return s;
     }
@@ -1746,10 +1780,10 @@ class Engine
     /**
      * Degrade to hash compaction with every other worker parked:
      * re-shard each exact encoding by its compaction signature, drop
-     * the encodings, and stop tracing (the unexpanded arena tail moves
-     * to the plain queue). The replacement tables are pre-sized from
-     * the live cardinality, so the transition is one pass with no
-     * rehash storm at the memory watermark.
+     * the encodings, and stop tracing (compacted runs do not trace,
+     * so the trace log's memory goes too). The replacement tables are
+     * pre-sized from the live cardinality, so the transition is one
+     * pass with no rehash storm at the memory watermark.
      */
     void
     degradeInQuiescence()
@@ -1781,13 +1815,8 @@ class Engine
         }
         {
             std::lock_guard<std::mutex> lk(qMu_);
-            if (tracing_) {
-                for (size_t i = head_; i < arena_.size(); ++i)
-                    fqueue_.push(std::move(arena_[i].state));
-                arena_.clear();
-                head_ = 0;
-                tracing_ = false;
-            }
+            log_.clear();
+            tracing_ = false;
         }
         visited_.store(total, std::memory_order_relaxed);
         visitedBytes_.store(total * 8, std::memory_order_relaxed);
@@ -1839,15 +1868,9 @@ class Engine
         // section, the spilled middle by segment reference, the
         // in-memory tail in its own section (empty sections otherwise,
         // emitted by commit()).
-        if (tracing_) {
-            w.beginFrontier(arena_.size() - head_);
-            for (size_t i = head_; i < arena_.size(); ++i)
-                w.addFrontierState(arena_[i].state);
-        } else {
-            w.beginFrontier(fqueue_.headStates());
-            fqueue_.forEachHead(
-                [&](const SysState &st) { w.addFrontierState(st); });
-        }
+        w.beginFrontier(fqueue_.headStates());
+        fqueue_.forEachHead(
+            [&](const SysState &st) { w.addFrontierState(st); });
         w.addCensus(sys_);
         if (spill_) {
             w.addSpillSegments(tier_.segmentRefs(),
@@ -1945,11 +1968,13 @@ class Engine
         // counterexample starts at the resume point. Restore order
         // (head pushes, segment adoption, tail pushes) rebuilds the
         // exact FIFO the snapshot recorded.
-        for (const SysState &st : d.frontier) {
-            if (tracing_)
-                arena_.push_back({st, SIZE_MAX, "resumed"});
-            else
-                fqueue_.push(SysState(st));
+        for (size_t i = 0; i < d.frontier.size(); ++i) {
+            if (tracing_) {
+                log_.push_back({kNoNode,
+                                {Step::Kind::Resumed, Access::Load,
+                                 static_cast<uint32_t>(i)}});
+            }
+            fqueue_.push(SysState(d.frontier[i]));
         }
         for (const SpillSegmentRef &ref : d.frontierSegments) {
             std::string err;
@@ -1958,29 +1983,61 @@ class Engine
         }
         for (const SysState &st : d.frontierTail)
             fqueue_.push(SysState(st));
-        pending_ = queueSizeLocked();
+        pending_ = fqueue_.size();
         instr_.noteCheckpointRestore(sw.ms());
         return "";
     }
 
-    /** The counterexample ending at arena node @p idx. */
+    /**
+     * The counterexample of error_, rebuilt by replay: walk the log
+     * from the error's node back to its root, then re-execute each
+     * step from the root state, canonicalizing as stagePending() does
+     * (census marks off). The trace keeps the last kMaxTraceNodes
+     * logged states, plus the violating successor when there is one.
+     */
     void
-    buildTrace(size_t idx)
+    buildTrace()
     {
-        std::vector<std::string> rev;
-        std::vector<std::string> rev_json;
-        while (idx != SIZE_MAX && rev.size() < 200) {
-            rev.push_back(arena_[idx].how + "  =>  " +
-                          describeState(sys_, arena_[idx].state));
-            rev_json.push_back(
-                "{\"event\": " + obs::jsonQuote(arena_[idx].how) +
-                ", \"state\": " +
-                describeStateJson(sys_, arena_[idx].state) + "}");
-            idx = arena_[idx].parent;
+        std::vector<TraceEntry> path;  // error first, root last
+        if (error_.step)
+            path.push_back({error_.node, *error_.step});
+        for (uint64_t n = error_.node; n != kNoNode; n = log_[n].parent)
+            path.push_back(log_[n]);
+        if (path.empty())
+            return;
+        EncodeScratch esc;
+        std::string enc;
+        SysState cur;
+        const Step root = path.back().step;
+        if (root.kind == Step::Kind::Resumed) {
+            cur = opts_.resume->frontier[root.index];
+        } else {
+            cur = initialState(sys_, opts_.accessBudget);
+            if (symmetry_)
+                cur.encodeCanonicalTo(sys_, enc, esc);
         }
-        result_.trace.assign(rev.rbegin(), rev.rend());
-        result_.traceStepsJson.assign(rev_json.rbegin(),
-                                      rev_json.rend());
+        size_t skip = path.size() - (error_.step ? 1 : 0);
+        skip = skip > kMaxTraceNodes ? skip - kMaxTraceNodes : 0;
+        for (size_t i = path.size(); i-- > 0;) {
+            std::string how = stepLabel(sys_, cur, path[i].step);
+            if (i + 1 < path.size()) {
+                SysState next;
+                StateEnv env;
+                applyStep(sys_, cur, path[i].step, next, env, false);
+                if (symmetry_)
+                    next.encodeCanonicalTo(sys_, enc, esc);
+                cur = std::move(next);
+            }
+            if (skip) {
+                --skip;
+                continue;
+            }
+            result_.trace.push_back(how + "  =>  " +
+                                    describeState(sys_, cur));
+            result_.traceStepsJson.push_back(
+                "{\"event\": " + obs::jsonQuote(how) + ", \"state\": " +
+                describeStateJson(sys_, cur) + "}");
+        }
     }
 
     /** Canonicalize (under symmetry reduction) and encode @p st into
@@ -2082,10 +2139,10 @@ class Engine
      *  only the shard header is prefetched — another worker may be
      *  growing that shard's slot arrays under its lock. */
     void
-    stagePending(WorkerCtx &ws, std::string &&how)
+    stagePending(WorkerCtx &ws, Step step)
     {
         PendingSucc &p = ws.pend[ws.pendCount++];
-        p.how = std::move(how);
+        p.step = step;
         ++ws.generated;
         encodeState(p.st, p.enc, ws);
         p.hash = hashState(p.enc,
@@ -2113,28 +2170,39 @@ class Engine
             if (!insertVisited(ws, p.hash, p.enc))
                 continue;
             if (auto v = findViolation(sys_, p.st)) {
-                reportError(v->kind, v->detail, parent.node,
-                            std::move(p.how), &p.st);
+                reportError(v->kind, v->detail, parent.node, p.step);
                 clean = false;
                 break;
             }
-            ws.accepted.emplace_back(
-                std::move(p.st), parent.node,
-                tracing_ ? std::move(p.how) : std::string());
+            ws.accepted.push_back(
+                {std::move(p.st), {parent.node, p.step}});
         }
         ws.pendCount = 0;
         return clean;
     }
 
-    /** expandOne(), timed for 1-in-8 expansions under phaseTiming. */
+    /**
+     * expandOne(), with phase timing under phaseTiming: 1 expansion in
+     * 8 times the whole expansion, another 1 in 8 times its encode,
+     * canonicalize and insert sections. The samples are disjoint, so
+     * the inner stopwatches' own cost (a few clock reads per
+     * successor) never lands in the outer span, which finishPhases()
+     * scales by 8.
+     */
     void
     expandSampled(const Item &it, WorkerCtx &ws)
     {
-        if (!opts_.phaseTiming || (ws.phaseTick++ & 7) != 0) {
+        unsigned tick = opts_.phaseTiming ? ws.phaseTick++ & 7 : 1;
+        if (tick == 4) {
+            ws.sampling = true;
+            expandOne(it, ws);
+            ws.sampling = false;
+            return;
+        }
+        if (tick != 0) {
             expandOne(it, ws);
             return;
         }
-        ws.sampling = true;
         obs::PerfCounts p0;
         if (ws.perf)
             p0 = ws.perf->read();
@@ -2144,7 +2212,6 @@ class Engine
         if (ws.perf)
             ws.phase.expandPerf += ws.perf->read() - p0;
         ++ws.phase.expansions;
-        ws.sampling = false;
     }
 
     /** Generate, dedup and buffer every successor of one state. */
@@ -2169,21 +2236,13 @@ class Engine
                 reportError(ErrorKind::ProtocolError, std::move(perr),
                             it.node);
                 return;
-            case PorOutcome::Ample: {
+            case PorOutcome::Ample:
                 ++ws.ample;
                 ++ws.fired;
-                std::string how;
-                if (tracing_) {
-                    const Msg &msg = cur.msgs[ampleIdx];
-                    how = "deliver " +
-                          sys_.msgs->displayName(msg.type) + " " +
-                          std::to_string(msg.src) + "->" +
-                          std::to_string(msg.dst) + " [ample]";
-                }
-                stagePending(ws, std::move(how));
+                stagePending(ws, {Step::Kind::Ample, Access::Load,
+                                  static_cast<uint32_t>(ampleIdx)});
                 flushPending(it, ws);
                 return;
-            }
             case PorOutcome::NoAmple:
                 break;
             }
@@ -2192,16 +2251,11 @@ class Engine
         for (size_t mi = 0; mi < cur.msgs.size(); ++mi) {
             if (!ws.mask[mi])
                 continue;  // blocked behind an older ordered message
-            const Msg msg = cur.msgs[mi];
-            const NodeCtx &dst = sys_.nodes[msg.dst];
-
-            SysState &next = pendSlot(ws).st;
-            next.assignWithoutMsg(cur, mi);
+            const Step step{Step::Kind::Deliver, Access::Load,
+                            static_cast<uint32_t>(mi)};
             StateEnv env;
-            env.state = &next;
-            StepResult r =
-                deliverMsg(dst, *sys_.msgs, next.blocks[msg.dst], msg,
-                           env, opts_.markReached);
+            StepResult r = applyStep(sys_, cur, step, pendSlot(ws).st,
+                                     env, opts_.markReached);
             if (r == StepResult::Error || env.failed) {
                 // Earlier siblings flush first, so a violation among
                 // them still wins (the order an unbatched loop would
@@ -2215,13 +2269,7 @@ class Engine
                 continue;
             ++successors;
             ++ws.fired;
-            std::string how;
-            if (tracing_) {
-                how = "deliver " + sys_.msgs->displayName(msg.type) +
-                      " " + std::to_string(msg.src) + "->" +
-                      std::to_string(msg.dst);
-            }
-            stagePending(ws, std::move(how));
+            stagePending(ws, step);
         }
 
         // 2. Core accesses.
@@ -2232,22 +2280,19 @@ class Engine
                 if (cur.budget[li] == 0)
                     continue;
                 NodeId c = sys_.leafCaches[li];
-                const NodeCtx &node = sys_.nodes[c];
+                const Machine &m = *sys_.nodes[c].machine;
                 for (Access a : {Access::Load, Access::Store,
                                  Access::Evict}) {
-                    EventKey ev = EventKey::mkAccess(a);
-                    if (!node.machine->hasTransition(
-                            cur.blocks[c].state, ev)) {
+                    if (!m.hasTransition(cur.blocks[c].state,
+                                         EventKey::mkAccess(a))) {
                         continue;
                     }
-                    SysState &next = pendSlot(ws).st;
-                    next = cur;
-                    next.budget[li] -= 1;
+                    const Step step{Step::Kind::Access, a,
+                                    static_cast<uint32_t>(li)};
                     StateEnv env;
-                    env.state = &next;
-                    StepResult r = deliverEvent(
-                        node, *sys_.msgs, next.blocks[c], ev, nullptr,
-                        env, opts_.markReached);
+                    StepResult r =
+                        applyStep(sys_, cur, step, pendSlot(ws).st, env,
+                                  opts_.markReached);
                     if (r == StepResult::Error || env.failed) {
                         if (flushPending(it, ws))
                             reportError(ErrorKind::ProtocolError,
@@ -2258,12 +2303,7 @@ class Engine
                         continue;
                     ++successors;
                     ++ws.fired;
-                    std::string how;
-                    if (tracing_) {
-                        how = "core " + std::to_string(c) + ": " +
-                              toString(a);
-                    }
-                    stagePending(ws, std::move(how));
+                    stagePending(ws, step);
                 }
             }
         }
@@ -2287,18 +2327,8 @@ class Engine
             result_.detail = error_.detail;
             result_.hitStateLimit = error_.kind == ErrorKind::StateLimit;
             result_.resumable = errorKindResumable(error_.kind);
-            if (tracing_) {
-                buildTrace(error_.node);
-                if (error_.hasBad) {
-                    result_.trace.push_back(
-                        error_.how + "  =>  " +
-                        describeState(sys_, error_.bad));
-                    result_.traceStepsJson.push_back(
-                        "{\"event\": " + obs::jsonQuote(error_.how) +
-                        ", \"state\": " +
-                        describeStateJson(sys_, error_.bad) + "}");
-                }
-            }
+            if (tracing_)
+                buildTrace();
         }
         // Workers are gone: flush a final resume artifact with the
         // queue exactly as the stop left it.
@@ -2350,7 +2380,8 @@ class Engine
         return result_;
     }
 
-    /** Scale the workers' 1-in-8 phase samples back to run totals. */
+    /** Scale the workers' 1-in-8 phase samples (outer spans and inner
+     *  sections alike) back to run totals. */
     void
     finishPhases()
     {

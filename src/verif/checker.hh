@@ -66,8 +66,9 @@ enum class MemoryLimitPolicy : uint8_t {
      * bit-for-bit. Requires CheckOptions::spillDir (setting spillDir
      * makes this the effective policy). The watermark stays armed and
      * keeps spilling; the run never degrades or aborts on memory.
-     * Forces traceOnError off — tracing pins every visited state in
-     * memory, which is exactly what spilling exists to avoid.
+     * Forces traceOnError off: tracing keeps a 16-byte trace-log
+     * entry (parent + step) in memory for every visited state, which
+     * no spill would shed.
      */
     SpillToDisk,
 };
@@ -228,11 +229,12 @@ struct CheckOptions
 
     /**
      * Sampled per-phase wall-time attribution: each worker times
-     * 1-in-8 of its expansions, splitting encode/canonicalize,
-     * visited-table insert, and the remaining expansion work; the
-     * workers' samples are summed and scaled back to run totals in
-     * CheckResult::phases. Off by default; the hot loop then pays
-     * only a predictable branch.
+     * whole expansions on 1 in 8 of them and their encode/
+     * canonicalize and visited-table insert sections on a disjoint
+     * 1 in 8 (so the sections' stopwatches never inflate the whole-
+     * expansion span); the workers' samples are summed and scaled
+     * back to run totals in CheckResult::phases. Off by default; the
+     * hot loop then pays only a predictable branch.
      */
     bool phaseTiming = false;
 };
@@ -341,13 +343,14 @@ struct CheckResult
         uint64_t sampledExpansions = 0;
 
         /**
-         * Hardware-counter attribution for the same sampled
-         * expansions, present when `--phases` ran where
-         * perf_event_open is usable (perfEnabled). `expand` covers
-         * the whole sampled expansion; `encode` the per-successor
-         * encode + canonicalize section; `insert` the visited-table
-         * probe/insert. Scaled up from the sample like the wall
-         * times. All-zero (perfEnabled == false) under restrictive
+         * Hardware-counter attribution for the same samples,
+         * present when `--phases` ran where perf_event_open is
+         * usable (perfEnabled). `expand` covers whole sampled
+         * expansions; `encode` the per-successor encode +
+         * canonicalize section and `insert` the visited-table
+         * probe/insert, both on the disjoint section sample. Scaled
+         * up from the samples like the wall times. All-zero
+         * (perfEnabled == false) under restrictive
          * perf_event_paranoid, in containers without PMU access, or
          * on non-Linux builds — wall-clock attribution still fills.
          */

@@ -5,13 +5,18 @@
  * unavailable (containers, perf_event_paranoid, non-Linux),
  * monotonic reads where it works, and the checker integration — a
  * phaseTiming run fills CheckResult::phases.*Perf if and only if the
- * PMU was usable, without disturbing the wall-clock attribution.
+ * PMU was usable, without disturbing the wall-clock attribution, and
+ * its wall-clock buckets fit inside the run they divide up.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include "core/hiera.hh"
 #include "obs/perfcounters.hh"
 #include "protocols/registry.hh"
+#include "util/stopwatch.hh"
 #include "verif/checker.hh"
 
 namespace hieragen
@@ -140,6 +145,56 @@ TEST_P(PhaseProfile, PerfCountersOffWithoutPhaseTiming)
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PhaseProfile, ::testing::Values(1u, 2u));
+
+/** Nanoseconds this thread has waited on a run queue (Linux
+ *  schedstat); 0 where the kernel does not report it. */
+uint64_t
+runQueueWaitNs()
+{
+    std::ifstream f("/proc/thread-self/schedstat");
+    uint64_t onCpu = 0, waited = 0;
+    f >> onCpu >> waited;
+    return waited;
+}
+
+// The phase breakdown is a partition of one worker's time: whole
+// expansions fit inside the run, and encode + canonicalize + insert,
+// sections of an expansion, fit inside the expansions. MSI/MSI
+// non-stalling 1H+2L (~48k states) reads expand ~90% of the run and
+// the sections ~65% of expand; an attribution that times the sections
+// inside the sampled spans reads expand ~113% of the run. A sampled
+// span the scheduler preempts is scaled up 8x with it, so the check
+// only counts a run that waited on a run queue for under 1% of its
+// wall time, and skips when the host is too busy to give one.
+TEST(PhaseSums, FitInsideTheRun)
+{
+    Protocol l = protocols::builtinProtocol("MSI");
+    Protocol h = protocols::builtinProtocol("MSI");
+    core::HierGenOptions g;
+    g.mode = ConcurrencyMode::NonStalling;
+    HierProtocol p = core::generate(l, h, g);
+    verif::CheckOptions o;
+    o.numThreads = 1;
+    o.phaseTiming = true;
+    for (int attempt = 0; attempt < 5; ++attempt) {
+        uint64_t wait0 = runQueueWaitNs();
+        util::Stopwatch sw;
+        auto r = verif::checkHier(p, 1, 2, o);
+        double wallMs = sw.ms();
+        double waitMs = static_cast<double>(runQueueWaitNs() - wait0) / 1e6;
+        ASSERT_TRUE(r.ok) << r.summary();
+        ASSERT_TRUE(r.phases.enabled);
+        if (waitMs > wallMs / 100)
+            continue;
+        const auto &ph = r.phases;
+        double inner = ph.encodeMs + ph.canonicalizeMs + ph.insertMs;
+        EXPECT_GT(inner, 0.0);
+        EXPECT_LE(ph.expandMs, wallMs);
+        EXPECT_LE(inner, ph.expandMs);
+        return;
+    }
+    GTEST_SKIP() << "every run waited over 1% of its time for a CPU";
+}
 
 } // namespace
 } // namespace hieragen
