@@ -2,8 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -201,13 +199,24 @@ LineAppender::close()
 bool
 readFileToString(const std::string &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return !in.bad();
+    // One read into a buffer sized from the file; anything past the
+    // size fstat saw (a growing file, a pipe) is appended in blocks.
+    struct stat st{};
+    size_t hint = 0;
+    if (fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode))
+        hint = static_cast<size_t>(st.st_size);
+    out.resize(hint);
+    out.resize(std::fread(out.data(), 1, hint, f));
+    char block[1 << 16];
+    size_t n;
+    while ((n = std::fread(block, 1, sizeof(block), f)) > 0)
+        out.append(block, n);
+    bool ok = !std::ferror(f);
+    std::fclose(f);
+    return ok;
 }
 
 bool

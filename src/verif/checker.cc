@@ -944,9 +944,13 @@ porTryAmple(const PorContext &por, const CheckOptions &opts,
  * state graph by numThreads workers (>= 1; worker 0 is the calling
  * thread). Workers take batches of up to kBatch states from the head
  * of one FIFO queue, buffer the successors they accept and append
- * them with one queue-lock acquisition per batch. The visited set is
- * split by state fingerprint into independently locked shards (one
- * shard when there is one worker).
+ * them with one queue-lock acquisition per batch. The queue holds
+ * each state's packed encoding, the bytes encodeState() already made
+ * for the visited set: a worker copies its batch's records out under
+ * the queue lock and decodes them (SysState::decodeFrom) after
+ * releasing it, so a spilling queue writes and reads those bytes as
+ * they are. The visited set is split by state fingerprint into
+ * independently locked shards (one shard when there is one worker).
  *
  * Traces. A tracing run keeps no states beyond what an untraced run
  * keeps: it appends one 16-byte trace-log entry (parent node + Step)
@@ -1138,11 +1142,12 @@ class Engine
         uint64_t node;
     };
 
-    /** An accepted successor awaiting enqueue. */
+    /** An accepted successor awaiting enqueue; its packed record is
+     *  the next len bytes of WorkerCtx::acceptedBytes. */
     struct Accepted
     {
-        SysState state;
         TraceEntry link;
+        uint32_t len;
     };
 
     /**
@@ -1189,8 +1194,10 @@ class Engine
     struct WorkerCtx
     {
         std::vector<Item> batch;
-        std::vector<SysState> popped;  ///< the batch's states
+        std::vector<std::string> records;  ///< copied out under qMu_
+        std::vector<SysState> popped;  ///< the records, decoded
         std::vector<Accepted> accepted;
+        std::string acceptedBytes;  ///< accepted records, back to back
         std::vector<char> mask;
         EncodeScratch esc;  ///< canonicalization buffers
         std::vector<PendingSucc> pend;  ///< staging slot pool
@@ -1348,7 +1355,7 @@ class Engine
             reportError(v->kind, v->detail, kNoNode, Step{});
         if (tracing_)
             log_.push_back({});
-        fqueue_.push(std::move(p.st));
+        fqueue_.push(p.enc.data(), static_cast<uint32_t>(p.enc.size()));
         pending_ = 1;
         publishCounts(ws);
     }
@@ -1420,6 +1427,13 @@ class Engine
                                 " states");
                 break;
             }
+            for (size_t i = 0; i < ws.batch.size() && takeErr.empty();
+                 ++i) {
+                const std::string &rec = ws.records[i];
+                if (!ws.popped[i].decodeFrom(sys_, rec.data(),
+                                             rec.size()))
+                    takeErr = "malformed frontier record";
+            }
             if (!takeErr.empty()) {
                 reportError(ErrorKind::SpillIo, std::move(takeErr));
                 break;
@@ -1430,10 +1444,6 @@ class Engine
                 if (stop_.load(std::memory_order_relaxed) == kAbort)
                     break;
                 expandSampled(it, ws);
-                // Free a popped state at once, as a pop-and-free loop
-                // would: its buffers, still hot in cache, are what the
-                // next successors allocate.
-                ws.popped[consumed] = SysState();
                 ++consumed;
                 chunker.bump();
             }
@@ -1448,7 +1458,8 @@ class Engine
 
     /**
      * Claim the next batch (caller holds qMu_ and the queue is
-     * non-empty). False when the state cap leaves nothing to claim.
+     * non-empty): copy its records out, to be decoded after the lock
+     * is released. False when the state cap leaves nothing to claim.
      * A failed spill-segment load loses states, so it latches
      * @p err and the run aborts.
      */
@@ -1464,9 +1475,12 @@ class Engine
         size_t take = static_cast<size_t>(std::min<uint64_t>(
             std::min<uint64_t>(fqueue_.size(), kBatch), allowed));
         ws.batch.clear();
-        ws.popped.resize(take);
+        if (ws.records.size() < take) {
+            ws.records.resize(take);
+            ws.popped.resize(take);
+        }
         for (size_t i = 0; i < take; ++i) {
-            if (!fqueue_.pop(ws.popped[i])) {
+            if (!fqueue_.pop(ws.records[i])) {
                 err = fqueue_.error().empty()
                           ? "frontier segment load failed"
                           : fqueue_.error();
@@ -1491,10 +1505,12 @@ class Engine
         {
             std::lock_guard<std::mutex> lk(qMu_);
             explored_ -= ws.batch.size() - consumed;
-            for (Accepted &a : ws.accepted) {
+            const char *rec = ws.acceptedBytes.data();
+            for (const Accepted &a : ws.accepted) {
                 if (tracing_)
                     log_.push_back(a.link);
-                fqueue_.push(std::move(a.state));
+                fqueue_.push(rec, a.len);
+                rec += a.len;
             }
             ferr = fqueue_.error();
             pending_ += ws.accepted.size();
@@ -1502,6 +1518,7 @@ class Engine
             wake = pending_ == 0 || !fqueue_.empty();
         }
         ws.accepted.clear();
+        ws.acceptedBytes.clear();
         if (!ferr.empty())
             reportError(ErrorKind::SpillIo, std::move(ferr));
         if (wake)
@@ -1602,17 +1619,6 @@ class Engine
         }
     }
 
-    /** Mean resident bytes per decoded state, from the stored
-     *  encoding sizes (decoded states run ~3x their encoding plus
-     *  container overhead). */
-    uint64_t
-    avgStateBytes() const
-    {
-        uint64_t v = visited_.load(std::memory_order_relaxed);
-        uint64_t b = visitedBytes_.load(std::memory_order_relaxed);
-        return (v ? b / v : 0) * 3 + 96;
-    }
-
     /** Re-measure the shard tables for footprint() and the sampler.
      *  Only a controller (or run() after the workers exit) may call
      *  this: a lone worker inserts without taking shard locks. */
@@ -1638,9 +1644,9 @@ class Engine
      * Engine-owned memory accounting behind the watermark and the
      * heartbeat (so the watermark works with telemetry off): shard
      * table bytes (slot arrays + arena chunks) as of the last
-     * control point, the spill tier's in-memory indexes, in-memory
-     * frontier states at the average state size, and the trace log's
-     * allocated bytes. Safe from any thread.
+     * control point, the spill tier's in-memory indexes, the work
+     * queue's allocated record chunks, and the trace log's allocated
+     * bytes. Safe from any thread.
      */
     Footprint
     footprint()
@@ -1648,9 +1654,8 @@ class Engine
         Footprint f;
         f.table = tableBytes_.load(std::memory_order_relaxed);
         f.tier = tierBytes_.load(std::memory_order_relaxed);
-        uint64_t avg = avgStateBytes();
         std::lock_guard<std::mutex> lk(qMu_);
-        f.frontier = fqueue_.memStates() * avg;
+        f.frontier = fqueue_.memBytes();
         f.log = log_.bytes();
         return f;
     }
@@ -1702,19 +1707,15 @@ class Engine
             std::max<uint64_t>(opts_.maxResidentBytes / 4, 64u << 10));
     }
 
-    /** In-memory frontier window once spilling starts: an eighth of
-     *  the budget, bounded away from thrashing (too small) and
-     *  pointlessness (too large). */
-    size_t
+    /** In-memory frontier window, in record bytes, once spilling
+     *  starts: an eighth of the budget, bounded away from thrashing
+     *  (too small) and pointlessness (too large). */
+    uint64_t
     frontierWindow() const
     {
-        uint64_t avg = std::max<uint64_t>(avgStateBytes(), 1);
-        uint64_t w = (opts_.maxResidentBytes / 8) / avg;
-        if (w < 1024)
-            w = 1024;
-        if (w > (uint64_t{1} << 20))
-            w = uint64_t{1} << 20;
-        return static_cast<size_t>(w);
+        return std::clamp<uint64_t>(opts_.maxResidentBytes / 8,
+                                    uint64_t{64} << 10,
+                                    uint64_t{256} << 20);
     }
 
     /** Is a spill rendezvous worth the stall? True when the hot tier
@@ -1745,27 +1746,8 @@ class Engine
             uint64_t hotBytes = 0;
             for (size_t i = 0; i < shardCount_; ++i)
                 hotBytes += shards_[i].store.spillableBytes();
-            if (hotBytes >= minSpillBytes()) {
-                std::vector<const StateTable *> tabs;
-                for (size_t i = 0; i < shardCount_; ++i)
-                    tabs.push_back(&shards_[i].store.hot());
-                std::string err;
-                if (!tier_.spillHot(tabs.data(), tabs.size(), &err)) {
-                    reportError(ErrorKind::SpillIo, std::move(err));
-                    return;
-                }
-                for (size_t i = 0; i < shardCount_; ++i)
-                    shards_[i].store.resetHot();
-                tierBytes_.store(tier_.memoryBytes(),
-                                 std::memory_order_relaxed);
-                instr_.journalEvent(
-                    "spill",
-                    {{"spilled_bytes",
-                      std::to_string(tier_.stats().spilledBytes)},
-                     {"segments",
-                      std::to_string(tier_.stats().segmentsWritten)},
-                     {"states_explored", std::to_string(explored_)}});
-            }
+            if (hotBytes >= minSpillBytes() && !spillHotTables())
+                return;
         }
         std::string err;
         {
@@ -1775,6 +1757,31 @@ class Engine
         }
         if (!err.empty())
             reportError(ErrorKind::SpillIo, std::move(err));
+    }
+
+    /** Flush every hot table into one sealed visited segment and
+     *  restart them empty (quiescent callers only). A failure is a
+     *  "spill-io" error and leaves the tables as they were. */
+    bool
+    spillHotTables()
+    {
+        std::vector<const StateTable *> tabs;
+        for (size_t i = 0; i < shardCount_; ++i)
+            tabs.push_back(&shards_[i].store.hot());
+        std::string err;
+        if (!tier_.spillHot(tabs.data(), tabs.size(), &err)) {
+            reportError(ErrorKind::SpillIo, std::move(err));
+            return false;
+        }
+        for (size_t i = 0; i < shardCount_; ++i)
+            shards_[i].store.resetHot();
+        tierBytes_.store(tier_.memoryBytes(), std::memory_order_relaxed);
+        instr_.journalEvent(
+            "spill",
+            {{"spilled_bytes", std::to_string(tier_.stats().spilledBytes)},
+             {"segments", std::to_string(tier_.stats().segmentsWritten)},
+             {"states_explored", std::to_string(explored_)}});
+        return true;
     }
 
     /**
@@ -1867,17 +1874,27 @@ class Engine
         // v3 queue split: in-memory head in the classic frontier
         // section, the spilled middle by segment reference, the
         // in-memory tail in its own section (empty sections otherwise,
-        // emitted by commit()).
+        // emitted by commit()). Queue records are decoded to states
+        // here, so the format stays v3 whatever the queue holds.
+        SysState st;
+        bool malformed = false;
+        auto addRecord = [&](const char *data, uint32_t len) {
+            malformed |= !st.decodeFrom(sys_, data, len);
+            w.addFrontierState(st);
+        };
         w.beginFrontier(fqueue_.headStates());
-        fqueue_.forEachHead(
-            [&](const SysState &st) { w.addFrontierState(st); });
+        fqueue_.forEachHead(addRecord);
         w.addCensus(sys_);
         if (spill_) {
             w.addSpillSegments(tier_.segmentRefs(),
                                fqueue_.segmentRefs());
             w.beginFrontierTail(fqueue_.tailStates());
-            fqueue_.forEachTail(
-                [&](const SysState &st) { w.addFrontierState(st); });
+            fqueue_.forEachTail(addRecord);
+        }
+        if (malformed) {
+            // Uncommitted, the writer leaves the last checkpoint be.
+            warn("checkpoint write failed: malformed frontier record");
+            return;
         }
         CheckpointIo io = w.commit();
         lastCheckpointMs_ = wall_.ms();
@@ -1968,13 +1985,19 @@ class Engine
         // counterexample starts at the resume point. Restore order
         // (head pushes, segment adoption, tail pushes) rebuilds the
         // exact FIFO the snapshot recorded.
+        EncodeScratch esc;
+        std::string enc;
+        auto pushState = [&](const SysState &st) {
+            st.encodeTo(sys_, enc, esc);
+            fqueue_.push(enc.data(), static_cast<uint32_t>(enc.size()));
+        };
         for (size_t i = 0; i < d.frontier.size(); ++i) {
             if (tracing_) {
                 log_.push_back({kNoNode,
                                 {Step::Kind::Resumed, Access::Load,
                                  static_cast<uint32_t>(i)}});
             }
-            fqueue_.push(SysState(d.frontier[i]));
+            pushState(d.frontier[i]);
         }
         for (const SpillSegmentRef &ref : d.frontierSegments) {
             std::string err;
@@ -1982,7 +2005,7 @@ class Engine
                 return err;
         }
         for (const SysState &st : d.frontierTail)
-            fqueue_.push(SysState(st));
+            pushState(st);
         pending_ = fqueue_.size();
         instr_.noteCheckpointRestore(sw.ms());
         return "";
@@ -2174,8 +2197,9 @@ class Engine
                 clean = false;
                 break;
             }
-            ws.accepted.push_back(
-                {std::move(p.st), {parent.node, p.step}});
+            ws.acceptedBytes += p.enc;
+            ws.accepted.push_back({{parent.node, p.step},
+                                   static_cast<uint32_t>(p.enc.size())});
         }
         ws.pendCount = 0;
         return clean;
@@ -2331,9 +2355,15 @@ class Engine
                 buildTrace();
         }
         // Workers are gone: flush a final resume artifact with the
-        // queue exactly as the stop left it.
-        if (result_.resumable)
+        // queue exactly as the stop left it. A spilling run first
+        // moves its hot tables to a segment, so the artifact names
+        // them instead of copying them and a resume adopts them
+        // without parsing every encoding into memory.
+        if (result_.resumable) {
+            if (spill_ && !compaction_ && !opts_.checkpointPath.empty())
+                spillHotTables();
             writeCheckpoint();
+        }
         result_.ok = !hasError_;
         result_.symmetryReduction = symmetry_;
         result_.partialOrderReduction = por_.enabled;

@@ -20,9 +20,14 @@ namespace
 
 constexpr char kVisitedMagic[8] = {'H', 'G', 'S', 'P', 'I', 'L', 'L', '1'};
 constexpr char kFrontierMagic[8] = {'H', 'G', 'S', 'P', 'I', 'L', 'L', 'Q'};
-constexpr uint32_t kSegmentVersion = 1;
+// Visited segments: payload encodings, then the sorted index.
+// Frontier segments v2: u32 length + packed record, per record (v1
+// held serialized SysStates and is refused).
+constexpr uint32_t kVisitedVersion = 1;
+constexpr uint32_t kFrontierVersion = 2;
 constexpr size_t kHeaderBytes = 28;  // magic + version + count + payload
 constexpr size_t kIndexRecordBytes = 16;
+constexpr size_t kScanBlock = size_t{1} << 20;  ///< adoption read size
 
 uint64_t
 nowNs()
@@ -91,12 +96,6 @@ class SegmentWriter
             flush();
     }
 
-    void
-    putString(const std::string &s)
-    {
-        putBytes(s.data(), s.size());
-    }
-
     /** Append the checksum trailer, commit, report (checksum, size). */
     bool
     seal(uint64_t *checksum, uint64_t *bytes, std::string *err)
@@ -157,38 +156,38 @@ makeSegmentPath(const std::string &dir, const std::string &prefix,
     }
 }
 
-/** Validate a whole segment file image against its ref: size,
- *  trailing checksum, magic and header counts. On success fills
- *  @p count / @p payloadBytes. */
+/** Check a segment's size, checksum, magic, version and header
+ *  counts against its ref. @p header is the first kHeaderBytes of
+ *  the file, @p sum the FNV-1a of everything before the trailer. On
+ *  success fills @p count / @p payloadBytes. */
 bool
-validateSegmentImage(const std::string &raw, const SpillSegmentRef &ref,
-                     const char (&magic)[8], uint64_t *count,
-                     uint64_t *payloadBytes, std::string *err)
+checkSegment(const SpillSegmentRef &ref, uint64_t size,
+             const char *header, uint64_t sum, uint64_t trailer,
+             const char (&magic)[8], uint32_t version, uint64_t *count,
+             uint64_t *payloadBytes, std::string *err)
 {
-    if (raw.size() != ref.bytes || raw.size() < kHeaderBytes + 8) {
+    if (size != ref.bytes || size < kHeaderBytes + 8) {
         *err = "spill segment '" + ref.path + "' has size " +
-               std::to_string(raw.size()) + ", checkpoint recorded " +
+               std::to_string(size) + ", checkpoint recorded " +
                std::to_string(ref.bytes);
         return false;
     }
-    uint64_t trailer = le64At(raw.data() + raw.size() - 8);
-    uint64_t actual = util::fnv1a64(raw.data(), raw.size() - 8);
-    if (trailer != actual || trailer != ref.checksum) {
+    if (trailer != sum || trailer != ref.checksum) {
         *err = "spill segment '" + ref.path +
                "' fails its checksum (truncated or corrupted)";
         return false;
     }
-    if (std::memcmp(raw.data(), magic, 8) != 0) {
+    if (std::memcmp(header, magic, 8) != 0) {
         *err = "'" + ref.path + "' is not a hieragen spill segment";
         return false;
     }
-    if (le32At(raw.data() + 8) != kSegmentVersion) {
+    if (le32At(header + 8) != version) {
         *err = "spill segment '" + ref.path +
                "' has an unsupported format version";
         return false;
     }
-    *count = le64At(raw.data() + 12);
-    *payloadBytes = le64At(raw.data() + 20);
+    *count = le64At(header + 12);
+    *payloadBytes = le64At(header + 20);
     if (*count != ref.states) {
         *err = "spill segment '" + ref.path + "' holds " +
                std::to_string(*count) + " states, checkpoint recorded " +
@@ -196,6 +195,78 @@ validateSegmentImage(const std::string &raw, const SpillSegmentRef &ref,
         return false;
     }
     return true;
+}
+
+/** Validate a segment image held in memory (see checkSegment). */
+bool
+checkSegmentImage(const std::string &raw, const SpillSegmentRef &ref,
+                  const char (&magic)[8], uint32_t version,
+                  uint64_t *count, uint64_t *payloadBytes,
+                  std::string *err)
+{
+    if (raw.size() < kHeaderBytes + 8)
+        return checkSegment(ref, raw.size(), nullptr, 0, 0, magic,
+                            version, count, payloadBytes, err);
+    return checkSegment(ref, raw.size(), raw.data(),
+                        util::fnv1a64(raw.data(), raw.size() - 8),
+                        le64At(raw.data() + raw.size() - 8), magic,
+                        version, count, payloadBytes, err);
+}
+
+/**
+ * Open a segment written by an earlier run and validate it against
+ * its ref (see checkSegment) by streaming it through the checksum in
+ * kScanBlock reads, so adoption never holds a whole segment. Returns
+ * the open descriptor, or -1 with *err set.
+ */
+int
+openCheckedSegment(const SpillSegmentRef &ref, const char (&magic)[8],
+                   uint32_t version, uint64_t *count,
+                   uint64_t *payloadBytes, std::string *err)
+{
+    int fd = ::open(ref.path.c_str(), O_RDONLY);
+    struct stat st{};
+    if (fd < 0 || ::fstat(fd, &st) != 0) {
+        *err = "cannot read spill segment '" + ref.path + "'";
+        if (fd >= 0)
+            ::close(fd);
+        return -1;
+    }
+    const uint64_t size = static_cast<uint64_t>(st.st_size);
+    char header[kHeaderBytes] = {};
+    uint64_t sum = 14695981039346656037ull, trailer = 0;
+    if (size == ref.bytes && size >= kHeaderBytes + 8) {
+        std::vector<char> block(kScanBlock);
+        for (uint64_t off = 0, end = size - 8; off < end;) {
+            size_t n = static_cast<size_t>(
+                std::min<uint64_t>(kScanBlock, end - off));
+            ssize_t got = ::pread(fd, block.data(), n,
+                                  static_cast<off_t>(off));
+            if (got <= 0) {
+                *err = "cannot read spill segment '" + ref.path + "'";
+                ::close(fd);
+                return -1;
+            }
+            if (off == 0 && static_cast<size_t>(got) >= kHeaderBytes)
+                std::memcpy(header, block.data(), kHeaderBytes);
+            sum = util::fnv1a64(block.data(), static_cast<size_t>(got),
+                                sum);
+            off += static_cast<uint64_t>(got);
+        }
+        char t[8];
+        if (::pread(fd, t, 8, static_cast<off_t>(size - 8)) != 8) {
+            *err = "cannot read spill segment '" + ref.path + "'";
+            ::close(fd);
+            return -1;
+        }
+        trailer = le64At(t);
+    }
+    if (!checkSegment(ref, size, header, sum, trailer, magic, version,
+                      count, payloadBytes, err)) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
 }
 
 /** Positioned read that must succeed: a vanished or short segment
@@ -321,7 +392,7 @@ SpillTier::spillHot(const StateTable *const *tables, size_t n,
         return false;
     }
     w.putBytes(kVisitedMagic, 8);
-    w.put32(kSegmentVersion);
+    w.put32(kVisitedVersion);
     w.put64(count);
     w.put64(payload);
     uint32_t off = 0;
@@ -448,35 +519,35 @@ SpillTier::segmentContains(const Segment &s, uint64_t fp,
 bool
 SpillTier::adoptSegment(const SpillSegmentRef &ref, std::string *err)
 {
-    std::string raw;
-    if (!util::readFileToString(ref.path, raw)) {
-        *err = "cannot read spill segment '" + ref.path + "'";
-        return false;
-    }
     uint64_t count = 0, payload = 0;
-    if (!validateSegmentImage(raw, ref, kVisitedMagic, &count, &payload,
-                              err))
+    int fd = openCheckedSegment(ref, kVisitedMagic, kVisitedVersion,
+                                &count, &payload, err);
+    if (fd < 0)
         return false;
-    if (kHeaderBytes + payload + count * kIndexRecordBytes + 8 !=
-        raw.size()) {
-        *err = "spill segment '" + ref.path +
-               "' has an inconsistent layout";
-        return false;
-    }
     Segment s;
     s.ref = ref;
     s.count = count;
     s.indexOffset = kHeaderBytes + payload;
-    s.fd = ::open(ref.path.c_str(), O_RDONLY);
-    if (s.fd < 0) {
-        *err = "cannot reopen spill segment '" + ref.path + "'";
+    s.fd = fd;
+    if (s.indexOffset + count * kIndexRecordBytes + 8 != ref.bytes) {
+        *err = "spill segment '" + ref.path +
+               "' has an inconsistent layout";
+        ::close(fd);
         return false;
     }
+    // Only the index region is read back: the bloom filter and the
+    // sparse index need nothing but its fingerprints.
     {
         std::vector<uint64_t> fps(count);
-        for (uint64_t i = 0; i < count; ++i)
-            fps[i] = le64At(raw.data() + s.indexOffset +
-                            i * kIndexRecordBytes);
+        constexpr uint64_t kPerRead = kScanBlock / kIndexRecordBytes;
+        std::vector<char> block(kScanBlock);
+        for (uint64_t i = 0; i < count; i += kPerRead) {
+            uint64_t n = std::min(kPerRead, count - i);
+            preadExact(fd, block.data(), n * kIndexRecordBytes,
+                       s.indexOffset + i * kIndexRecordBytes);
+            for (uint64_t k = 0; k < n; ++k)
+                fps[i + k] = le64At(block.data() + k * kIndexRecordBytes);
+        }
         indexSegment(s, fps.data(), count);
     }
     segments_.push_back(std::move(s));
@@ -509,6 +580,87 @@ SpillTier::removeSegmentFiles()
 }
 
 // ---------------------------------------------------------------
+// RecordFifo
+
+void
+RecordFifo::retire(Chunk &&c)
+{
+    if (!spare_.data && c.cap == kChunkBytes)
+        spare_ = std::move(c);
+    else
+        allocated_ -= c.cap;
+}
+
+void
+RecordFifo::push(const char *data, uint32_t len)
+{
+    const size_t need = kLenBytes + len;
+    if (chunks_.empty() ||
+        chunks_.back().cap - chunks_.back().used < need) {
+        if (count_ == 0 && !chunks_.empty()) {
+            // The drained chunk must not stay ahead of the new one.
+            retire(std::move(chunks_.front()));
+            chunks_.clear();
+            readPos_ = 0;
+        }
+        Chunk c;
+        if (spare_.data && need <= spare_.cap) {
+            c = std::move(spare_);
+            spare_ = Chunk();
+        } else {
+            c.cap = std::max(kChunkBytes, need);
+            c.data = std::make_unique_for_overwrite<char[]>(c.cap);
+            allocated_ += c.cap;
+        }
+        c.used = 0;
+        chunks_.push_back(std::move(c));
+    }
+    Chunk &c = chunks_.back();
+    char *p = c.data.get() + c.used;
+    for (size_t i = 0; i < kLenBytes; ++i)
+        p[i] = static_cast<char>(len >> (8 * i));
+    std::memcpy(p + kLenBytes, data, len);
+    c.used += need;
+    ++count_;
+    bytes_ += need;
+}
+
+std::string_view
+RecordFifo::front() const
+{
+    const char *p = chunks_.front().data.get() + readPos_;
+    return {p + kLenBytes, loadLen(p)};
+}
+
+void
+RecordFifo::pop()
+{
+    Chunk &c = chunks_.front();
+    size_t stored = kLenBytes + loadLen(c.data.get() + readPos_);
+    readPos_ += stored;
+    --count_;
+    bytes_ -= stored;
+    if (readPos_ < c.used)
+        return;
+    readPos_ = 0;
+    if (chunks_.size() == 1) {
+        c.used = 0;  // the only chunk: reuse it in place
+        return;
+    }
+    retire(std::move(c));
+    chunks_.pop_front();
+}
+
+void
+RecordFifo::clear()
+{
+    chunks_.clear();
+    spare_ = Chunk();
+    readPos_ = 0;
+    count_ = bytes_ = allocated_ = 0;
+}
+
+// ---------------------------------------------------------------
 // SpillableFrontier
 
 void
@@ -519,39 +671,63 @@ SpillableFrontier::configure(std::string dir, std::string prefix)
 }
 
 void
-SpillableFrontier::enableSpill(size_t memWindowStates)
+SpillableFrontier::enableSpill(uint64_t memWindowBytes)
 {
     HG_ASSERT(spillConfigured(), "enableSpill() needs configure()");
     spilling_ = true;
-    window_ = std::max<size_t>(memWindowStates, 64);
-    chunk_ = std::clamp<size_t>(window_ / 2, 64, 4096);
-    // Keep the oldest window_ states in memory; the newer overflow
-    // becomes the first segments, preserving FIFO order.
-    while (head_.size() > window_ && error_.empty()) {
-        size_t n = std::min<size_t>(chunk_, head_.size() - window_);
-        std::string err;
-        if (!writeSegmentRange(head_, window_, n, &err)) {
-            error_ = err;
-            return;
+    window_ = memWindowBytes;
+    segmentBytes_ = std::clamp<uint64_t>(window_ / 2, 4u << 10, 1u << 20);
+    // Overflowing the head is only FIFO-safe while nothing newer is
+    // queued behind it: the oldest window_ bytes stay, the rest goes
+    // to the tail (and on to segments), ahead of any later push.
+    if (!segments_.empty() || !tail_.empty() || head_.bytes() <= window_)
+        return;
+    RecordFifo keep;
+    while (!head_.empty() && error_.empty()) {
+        std::string_view r = head_.front();
+        if (tail_.empty() && segments_.empty() &&
+            keep.bytes() + RecordFifo::kLenBytes + r.size() <= window_) {
+            keep.push(r.data(), static_cast<uint32_t>(r.size()));
+        } else {
+            tail_.push(r.data(), static_cast<uint32_t>(r.size()));
+            if (tail_.bytes() >= segmentBytes_)
+                flushTail();
         }
-        head_.erase(head_.begin() +
-                        static_cast<std::ptrdiff_t>(window_),
-                    head_.begin() +
-                        static_cast<std::ptrdiff_t>(window_ + n));
+        head_.pop();
     }
+    std::swap(head_, keep);
 }
 
 void
-SpillableFrontier::push(SysState &&st)
+SpillableFrontier::push(const char *data, uint32_t len)
 {
     if (segments_.empty() && tail_.empty() &&
-        (!spilling_ || head_.size() < window_)) {
-        head_.push_back(std::move(st));
+        (!spilling_ || head_.bytes() < window_)) {
+        head_.push(data, len);
         return;
     }
-    tail_.push_back(std::move(st));
-    if (spilling_ && tail_.size() >= chunk_)
+    tail_.push(data, len);
+    if (spilling_ && tail_.bytes() >= segmentBytes_)
         flushTail();
+}
+
+bool
+SpillableFrontier::pop(std::string &out)
+{
+    if (head_.empty()) {
+        if (!segments_.empty()) {
+            if (!loadFrontSegment())
+                return false;  // error() latched
+        } else if (!tail_.empty()) {
+            std::swap(head_, tail_);
+        }
+    }
+    if (head_.empty())
+        return false;
+    std::string_view r = head_.front();
+    out.assign(r.data(), r.size());
+    head_.pop();
+    return true;
 }
 
 bool
@@ -559,65 +735,31 @@ SpillableFrontier::flushTail()
 {
     if (tail_.empty())
         return true;
-    std::string err;
-    if (!writeSegmentRange(tail_, 0, tail_.size(), &err)) {
-        error_ = err;
-        return false;
-    }
-    tail_.clear();
-    return true;
-}
-
-bool
-SpillableFrontier::pop(SysState &out)
-{
-    if (head_.empty()) {
-        if (!segments_.empty()) {
-            if (!loadFrontSegment())
-                return false;  // error() latched
-        } else if (!tail_.empty()) {
-            head_.swap(tail_);
-        }
-    }
-    if (head_.empty())
-        return false;
-    out = std::move(head_.front());
-    head_.pop_front();
-    return true;
-}
-
-bool
-SpillableFrontier::writeSegmentRange(const std::deque<SysState> &q,
-                                     size_t begin, size_t count,
-                                     std::string *err)
-{
     uint64_t t0 = nowNs();
-    std::string payload;
-    for (size_t i = 0; i < count; ++i)
-        SysState::serialize(payload, q[begin + i]);
-
     std::string path = makeSegmentPath(dir_, prefix_, nextSegmentId_);
     SegmentWriter w;
     if (!w.open(path)) {
-        *err = "cannot open frontier segment '" + path + "'";
+        error_ = "cannot open frontier segment '" + path + "'";
         return false;
     }
     w.putBytes(kFrontierMagic, 8);
-    w.put32(kSegmentVersion);
-    w.put64(count);
-    w.put64(payload.size());
-    w.putString(payload);
+    w.put32(kFrontierVersion);
+    w.put64(tail_.size());
+    w.put64(tail_.bytes());
+    tail_.forEachSpan(
+        [&](const char *data, size_t len) { w.putBytes(data, len); });
 
     SpillSegmentRef ref;
-    if (!w.seal(&ref.checksum, &ref.bytes, err))
+    if (!w.seal(&ref.checksum, &ref.bytes, &error_))
         return false;
     ref.path = std::move(path);
-    ref.states = count;
-    segments_.push_back(std::move(ref));
-    diskStates_ += count;
-    stats_.spilledStates += count;
-    stats_.spilledBytes += segments_.back().bytes;
+    ref.states = tail_.size();
+    diskStates_ += ref.states;
+    stats_.spilledStates += ref.states;
+    stats_.spilledBytes += ref.bytes;
     ++stats_.segmentsWritten;
+    segments_.push_back(std::move(ref));
+    tail_.clear();
     stats_.stallNs += nowNs() - t0;
     return true;
 }
@@ -628,33 +770,31 @@ SpillableFrontier::loadFrontSegment()
     uint64_t t0 = nowNs();
     SpillSegmentRef ref = std::move(segments_.front());
     segments_.pop_front();
-    std::string raw;
-    if (!util::readFileToString(ref.path, raw)) {
+    if (!util::readFileToString(ref.path, loadBuf_)) {
         error_ = "cannot read frontier segment '" + ref.path + "'";
         return false;
     }
     uint64_t count = 0, payload = 0;
-    std::string err;
-    if (!validateSegmentImage(raw, ref, kFrontierMagic, &count,
-                              &payload, &err)) {
-        error_ = err;
+    if (!checkSegmentImage(loadBuf_, ref, kFrontierMagic,
+                           kFrontierVersion, &count, &payload, &error_))
         return false;
+    const size_t end = loadBuf_.size() - 8;
+    size_t pos = kHeaderBytes;
+    for (uint64_t i = 0; i < count; ++i) {
+        if (end - pos < RecordFifo::kLenBytes ||
+            end - pos - RecordFifo::kLenBytes <
+                le32At(loadBuf_.data() + pos)) {
+            break;
+        }
+        uint32_t len = le32At(loadBuf_.data() + pos);
+        head_.push(loadBuf_.data() + pos + RecordFifo::kLenBytes, len);
+        pos += RecordFifo::kLenBytes + len;
     }
-    if (kHeaderBytes + payload + 8 != raw.size()) {
+    if (pos != end || kHeaderBytes + payload != end ||
+        head_.size() != count) {
         error_ = "frontier segment '" + ref.path +
                  "' has an inconsistent layout";
         return false;
-    }
-    size_t pos = kHeaderBytes;
-    for (uint64_t i = 0; i < count; ++i) {
-        SysState st;
-        if (!SysState::deserialize(raw.data(), raw.size() - 8, pos,
-                                   st)) {
-            error_ = "frontier segment '" + ref.path +
-                     "' holds a malformed state";
-            return false;
-        }
-        head_.push_back(std::move(st));
     }
     diskStates_ -= count;
     if (retainConsumed_)
@@ -677,16 +817,13 @@ bool
 SpillableFrontier::adoptSegment(const SpillSegmentRef &ref,
                                 std::string *err)
 {
-    std::string raw;
-    if (!util::readFileToString(ref.path, raw)) {
-        *err = "cannot read frontier segment '" + ref.path + "'";
-        return false;
-    }
     uint64_t count = 0, payload = 0;
-    if (!validateSegmentImage(raw, ref, kFrontierMagic, &count,
-                              &payload, err))
+    int fd = openCheckedSegment(ref, kFrontierMagic, kFrontierVersion,
+                                &count, &payload, err);
+    if (fd < 0)
         return false;
-    if (kHeaderBytes + payload + 8 != raw.size()) {
+    ::close(fd);
+    if (kHeaderBytes + payload + 8 != ref.bytes) {
         *err = "frontier segment '" + ref.path +
                "' has an inconsistent layout";
         return false;

@@ -44,8 +44,9 @@
  * and its queue mutex.
  *
  * SpillableFrontier gives the work queue the same treatment: a FIFO
- * whose middle overflows to bounded segment files (serialized
- * SysStates) while the head and a bounded tail stay in memory.
+ * of opaque byte records (the checker's packed state encodings, kept
+ * in RecordFifo chunks) whose middle overflows to bounded segment
+ * files while the head and a bounded tail stay in memory.
  * Segment files are consumed whole; consumed files are deleted
  * immediately, or — under retainConsumed(), for checkpointed runs —
  * parked until purgeConsumed() after the next successful snapshot, so
@@ -58,11 +59,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "verif/statetable.hh"
-#include "verif/system.hh"
 
 namespace hieragen::verif
 {
@@ -276,13 +278,107 @@ class StateStore
 };
 
 /**
- * FIFO work queue whose middle spills to bounded segment files.
- * Until enableSpill() everything lives in one in-memory deque with
- * no per-operation overhead beyond a branch. With spilling enabled,
- * pushes accumulate in a bounded tail that flushes whole segments;
- * pops drain the in-memory head, then reload segments oldest-first,
- * then swap in the tail. FIFO order is preserved exactly, so a
- * spilled run explores states in the same order as an unlimited one.
+ * FIFO of opaque byte records in fixed-size chunks, as the trace log
+ * and the state arena grow: a push copies the record into the newest
+ * chunk, so records cost no heap block each, and a drained chunk is
+ * freed (one is kept for reuse). A record is stored as a 4-byte
+ * little-endian length and its bytes, the layout of a frontier
+ * segment's payload, so a segment write streams chunk contents as
+ * they are.
+ */
+class RecordFifo
+{
+  public:
+    /** Stored bytes per record beyond its payload. */
+    static constexpr size_t kLenBytes = 4;
+
+    void push(const char *data, uint32_t len);
+
+    /** The oldest record; the FIFO must not be empty. */
+    std::string_view front() const;
+    void pop();
+
+    bool empty() const { return count_ == 0; }
+    uint64_t size() const { return count_; }
+
+    /** Stored bytes (length prefixes included) of the live records. */
+    uint64_t bytes() const { return bytes_; }
+
+    /** Bytes the chunks hold allocated, the spare included. */
+    uint64_t allocatedBytes() const { return allocated_; }
+
+    /** Visit the stored bytes, oldest first, as contiguous spans. */
+    template <typename Fn>
+    void
+    forEachSpan(Fn &&fn) const
+    {
+        for (size_t i = 0; i < chunks_.size(); ++i) {
+            size_t from = i == 0 ? readPos_ : 0;
+            if (chunks_[i].used > from)
+                fn(chunks_[i].data.get() + from, chunks_[i].used - from);
+        }
+    }
+
+    /** Visit the records, oldest first, as (data, len). */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (size_t i = 0; i < chunks_.size(); ++i) {
+            const char *p = chunks_[i].data.get();
+            for (size_t pos = i == 0 ? readPos_ : 0;
+                 pos < chunks_[i].used;) {
+                uint32_t len = loadLen(p + pos);
+                fn(p + pos + kLenBytes, len);
+                pos += kLenBytes + len;
+            }
+        }
+    }
+
+    void clear();
+
+  private:
+    static constexpr size_t kChunkBytes = size_t{64} << 10;
+
+    struct Chunk
+    {
+        std::unique_ptr<char[]> data;
+        size_t cap = 0;
+        size_t used = 0;
+    };
+
+    /** Keep a drained chunk as the spare, or free it. */
+    void retire(Chunk &&c);
+
+    static uint32_t
+    loadLen(const char *p)
+    {
+        uint32_t v = 0;
+        for (int i = 3; i >= 0; --i)
+            v = (v << 8) | static_cast<uint8_t>(p[i]);
+        return v;
+    }
+
+    std::deque<Chunk> chunks_;
+    Chunk spare_;  ///< a drained standard chunk kept for the next push
+    size_t readPos_ = 0;  ///< offset of front() in chunks_.front()
+    uint64_t count_ = 0;
+    uint64_t bytes_ = 0;
+    uint64_t allocated_ = 0;
+};
+
+/**
+ * FIFO work queue of opaque byte records whose middle spills to
+ * bounded segment files. Until enableSpill() every record lives in
+ * the in-memory head. With spilling enabled, pushes accumulate in a
+ * bounded tail that flushes whole segments; pops drain the head,
+ * then reload segments oldest-first, then swap in the tail. FIFO
+ * order is preserved exactly, so a spilled run explores states in
+ * the same order as an unlimited one.
+ *
+ * A frontier segment (format v2) is the 28-byte segment header, then
+ * each record as a u32 length plus its bytes, then the FNV-1a
+ * trailer. v1 segments (serialized states) are refused.
  *
  * Not internally synchronized: the checker wraps it behind its queue
  * mutex.
@@ -309,30 +405,41 @@ class SpillableFrontier
      *  after a successful checkpoint commit supersedes them). */
     void purgeConsumed();
 
-    /** Start overflowing to disk, keeping about @p memWindowStates
-     *  states in memory; flushes the current overflow immediately.
-     *  Repeat calls adjust the window. */
-    void enableSpill(size_t memWindowStates);
+    /**
+     * Start overflowing to disk, keeping about @p memWindowBytes
+     * stored record bytes in the head; segments hold about half a
+     * window each (4 KiB to 1 MiB). Repeat calls adjust the window.
+     * The head's overflow is written out only while no segment and
+     * no tail exist; otherwise newer records already sit behind the
+     * head and it simply drains.
+     */
+    void enableSpill(uint64_t memWindowBytes);
     bool spilling() const { return spilling_; }
 
-    void push(SysState &&st);
+    void push(const char *data, uint32_t len);
 
-    /** False when empty or when a segment load failed — distinguish
-     *  via error(). A failed load loses states, so the engine must
-     *  abort the run on it. */
-    bool pop(SysState &out);
+    /** Copy the oldest record into @p out and drop it. False when
+     *  empty or when a segment load failed — distinguish via error().
+     *  A failed load loses states, so the engine must abort the run
+     *  on it. */
+    bool pop(std::string &out);
 
     bool empty() const { return size() == 0; }
     uint64_t size() const
     {
         return head_.size() + tail_.size() + diskStates_;
     }
-    uint64_t memStates() const { return head_.size() + tail_.size(); }
     uint64_t diskStates() const { return diskStates_; }
 
+    /** Bytes the in-memory head and tail hold allocated. */
+    uint64_t memBytes() const
+    {
+        return head_.allocatedBytes() + tail_.allocatedBytes();
+    }
+
     /**
-     * Checkpoint view: the FIFO is head states (in memory), then the
-     * segment list, then tail states (in memory). A v3 checkpoint
+     * Checkpoint view: the FIFO is head records (in memory), then the
+     * segment list, then tail records (in memory). A v3 checkpoint
      * records head in the classic frontier section, the segments by
      * reference, and tail in its own trailing section; restoring in
      * that order through push()/adoptSegment() reproduces the queue.
@@ -344,16 +451,14 @@ class SpillableFrontier
     void
     forEachHead(Fn &&fn) const
     {
-        for (const SysState &st : head_)
-            fn(st);
+        head_.forEach(fn);
     }
 
     template <typename Fn>
     void
     forEachTail(Fn &&fn) const
     {
-        for (const SysState &st : tail_)
-            fn(st);
+        tail_.forEach(fn);
     }
 
     std::vector<SpillSegmentRef> segmentRefs() const;
@@ -370,20 +475,19 @@ class SpillableFrontier
     const std::string &error() const { return error_; }
 
   private:
-    bool writeSegmentRange(const std::deque<SysState> &q, size_t begin,
-                           size_t count, std::string *err);
     bool flushTail();
     bool loadFrontSegment();
 
-    std::deque<SysState> head_;
-    std::deque<SysState> tail_;
+    RecordFifo head_;
+    RecordFifo tail_;
     std::deque<SpillSegmentRef> segments_;
     std::vector<std::string> consumed_;  ///< loaded, not yet deleted
+    std::string loadBuf_;  ///< segment image, reused across loads
     uint64_t diskStates_ = 0;
     bool spilling_ = false;
     bool retainConsumed_ = false;
-    size_t window_ = 0;
-    size_t chunk_ = 4096;  ///< states per flushed segment
+    uint64_t window_ = 0;
+    uint64_t segmentBytes_ = 0;  ///< tail bytes that flush a segment
     std::string dir_;
     std::string prefix_;
     uint64_t nextSegmentId_ = 0;

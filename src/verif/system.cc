@@ -671,6 +671,141 @@ SysState::encodeTo(const System &sys, std::string &out,
 namespace
 {
 
+/** Little-endian bit reader, the inverse of BitWriter. The caller
+ *  checks the record length against the layout first. A field is
+ *  read from the 8-byte window at its first byte, assembled byte by
+ *  byte near the end of the record, so no read leaves
+ *  [data, data + len). Fields are at most 57 bits wide. */
+struct BitReader
+{
+    const uint8_t *data;
+    size_t len;
+    uint64_t pos = 0;  ///< bit offset of the next field
+
+    BitReader(const char *d, size_t n)
+        : data(reinterpret_cast<const uint8_t *>(d)), len(n)
+    {
+    }
+
+    uint64_t
+    get(unsigned bits)
+    {
+        const size_t byte = static_cast<size_t>(pos >> 3);
+        uint64_t word = 0;
+        if (len - byte >= 8) {
+            std::memcpy(&word, data + byte, 8);
+        } else {
+            for (size_t i = byte; i < len; ++i)
+                word |= static_cast<uint64_t>(data[i]) << (8 * (i - byte));
+        }
+        const uint64_t v =
+            (word >> (pos & 7)) & ((uint64_t{1} << bits) - 1);
+        pos += bits;
+        return v;
+    }
+};
+
+} // namespace
+
+bool
+SysState::decodeFrom(const System &sys, const char *data, size_t len)
+{
+    HG_ASSERT(sys.enc.valid(), "System lacks an encoding layout");
+    const EncodingLayout &L = sys.enc;
+    const auto numNodes = static_cast<NodeId>(sys.nodes.size());
+    const size_t numLeaves = sys.leafCaches.size();
+    // The bit widths packEncode() writes: a record is the blocks, the
+    // messages, the budgets and the ghost, padded to whole bytes. A
+    // message is wider than a byte, so the length fixes its count.
+    const uint64_t blockBits =
+        L.stateBits + 18u + 3u * L.nodeBits + 17u + L.sharerBits;
+    const uint64_t msgBits = L.typeBits + 3u * L.nodeBits + 27u;
+    const uint64_t fixedBits =
+        blockBits * sys.nodes.size() + 8 * numLeaves + 8;
+    const uint64_t have = uint64_t{len} * 8;
+    if (have < fixedBits)
+        return false;
+    const uint64_t numMsgs = (have - fixedBits) / msgBits;
+    const uint64_t usedBits = fixedBits + numMsgs * msgBits;
+    if ((usedBits + 7) / 8 != len)
+        return false;
+
+    // Each get() reads adjacent packEncode() fields at once; ids and
+    // states are stored as value + 1.
+    BitReader r(data, len);
+    const uint64_t nodeMask = (uint64_t{1} << L.nodeBits) - 1;
+    auto nodeId = [&](uint64_t v) {
+        return static_cast<NodeId>(v & nodeMask) - 1;
+    };
+    bool ok = true;
+    blocks.resize(sys.nodes.size());
+    for (size_t n = 0; n < blocks.size(); ++n) {
+        BlockState &b = blocks[n];
+        uint64_t f = r.get(L.stateBits + 18u);
+        b.state = static_cast<StateId>(
+                      f & ((uint64_t{1} << L.stateBits) - 1)) -
+                  1;
+        f >>= L.stateBits;
+        b.hasData = f & 1;
+        b.data = static_cast<uint8_t>(f >> 1);
+        b.tbe.ackCtr = static_cast<int8_t>(static_cast<uint8_t>(f >> 9));
+        b.tbe.countReceived = (f >> 17) & 1;
+        f = r.get(2u * L.nodeBits + 17u);
+        b.tbe.savedRequestor = nodeId(f);
+        b.tbe.savedLower = nodeId(f >> L.nodeBits);
+        f >>= 2u * L.nodeBits;
+        b.tbe.savedAckCount = static_cast<int8_t>(static_cast<uint8_t>(f));
+        b.tbe.stashedCtr =
+            static_cast<int8_t>(static_cast<uint8_t>(f >> 8));
+        b.tbe.stashedRecv = (f >> 16) & 1;
+        f = r.get(L.sharerBits + L.nodeBits);
+        b.sharers = static_cast<uint32_t>(
+            f & ((uint64_t{1} << L.sharerBits) - 1));
+        b.owner = nodeId(f >> L.sharerBits);
+        ok &= b.state <
+                  static_cast<StateId>(sys.nodes[n].machine->numStates()) &&
+              b.tbe.savedRequestor < numNodes &&
+              b.tbe.savedLower < numNodes && b.owner < numNodes;
+    }
+    msgs.resize(static_cast<size_t>(numMsgs));
+    const auto numTypes = static_cast<MsgTypeId>(sys.msgs->size());
+    for (Msg &m : msgs) {
+        uint64_t f = r.get(L.typeBits + 3u * L.nodeBits);
+        m.type = static_cast<MsgTypeId>(
+                     f & ((uint64_t{1} << L.typeBits) - 1)) -
+                 1;
+        f >>= L.typeBits;
+        m.src = nodeId(f);
+        m.dst = nodeId(f >> L.nodeBits);
+        m.requestor = nodeId(f >> (2u * L.nodeBits));
+        f = r.get(27);
+        m.epoch = static_cast<FwdEpoch>(f & 3);
+        m.ackCount = static_cast<int8_t>(static_cast<uint8_t>(f >> 2));
+        m.hasData = (f >> 10) & 1;
+        m.data = static_cast<uint8_t>(f >> 11);
+        m.seq = static_cast<int32_t>((f >> 19) & 0xff);
+        m.addr = 0;
+        ok &= m.type >= 0 && m.type < numTypes && m.src >= 0 &&
+              m.src < numNodes && m.dst >= 0 && m.dst < numNodes &&
+              m.requestor < numNodes &&
+              (f & 3) <= static_cast<uint64_t>(FwdEpoch::Future);
+    }
+    budget.resize(numLeaves);
+    size_t bi = 0;
+    for (; bi + 4 <= numLeaves; bi += 4) {
+        uint64_t f = r.get(32);
+        for (size_t k = 0; k < 4; ++k)
+            budget[bi + k] = static_cast<uint8_t>(f >> (8 * k));
+    }
+    for (; bi < numLeaves; ++bi)
+        budget[bi] = static_cast<uint8_t>(r.get(8));
+    ghost = static_cast<uint8_t>(r.get(8));
+    return ok && r.get(static_cast<unsigned>(have - usedBits)) == 0;
+}
+
+namespace
+{
+
 /**
  * Apply a node renaming to a whole state: permute the block and
  * budget slots, rename every NodeId stored inside blocks (owner, TBE

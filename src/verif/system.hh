@@ -105,9 +105,8 @@ struct SysState
     /**
      * Exact round-trip serialization (unlike the dedup encodings,
      * which canonicalize FIFO seqs away). Append to @p out; the
-     * format is the checkpoint frontier-entry layout and the spill
-     * tier's frontier segment payload — one definition, two
-     * consumers (verif/checkpoint.cc, verif/statestore.cc).
+     * format is the checkpoint frontier-entry layout
+     * (verif/checkpoint.cc).
      */
     static void serialize(std::string &out, const SysState &st);
 
@@ -167,6 +166,19 @@ struct SysState
      */
     void encodeTo(const System &sys, std::string &out,
                   EncodeScratch &sc) const;
+
+    /**
+     * Inverse of the packed encodeTo(sys, ...): become the state that
+     * @p data[0, len) encodes, reusing this state's vector capacity.
+     * The encoding keeps each message's rank within its (src, dst)
+     * channel, not its send-history seq, so the decoded seq is that
+     * rank and addr is 0. Every reader of seq compares values within
+     * one channel, so the decoded state explores exactly as the
+     * encoded one. False (the state is then unspecified) when @p len
+     * is not the length of a record of @p sys, a node, state or type
+     * field is out of range, or the padding bits are not zero.
+     */
+    bool decodeFrom(const System &sys, const char *data, size_t len);
 
     /**
      * Symmetry reduction: replace *this with the representative of

@@ -32,8 +32,10 @@
 #include "api/hieragen.hh"
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "util/fileio.hh"
 #include "verif/checker.hh"
 #include "verif/checkpoint.hh"
+#include "verif/statestore.hh"
 
 namespace hieragen
 {
@@ -561,6 +563,347 @@ TEST(SpillTrace, ViolationAfterV3ResumeMatchesBaselineVerdict)
         EXPECT_NE(json.find("\"error_kind\""), std::string::npos);
         EXPECT_NE(json.find("\"steps\": []"), std::string::npos)
             << json;
+    }
+}
+
+// ---------------------------------------------------------------
+// SpillableFrontier on its own: records are plain bytes, so FIFO
+// order across head, segments and tail is checked with numbered
+// records and no System.
+
+constexpr uint32_t kRecLen = 12;  ///< 8-byte id + 4 filler bytes
+
+/** Stored bytes of @p n records: the frontier's window unit. */
+uint64_t
+recordBytes(uint64_t n)
+{
+    return n * (verif::RecordFifo::kLenBytes + kRecLen);
+}
+
+void
+pushId(verif::SpillableFrontier &q, uint64_t id)
+{
+    char rec[kRecLen] = {};
+    for (int i = 0; i < 8; ++i)
+        rec[i] = static_cast<char>(id >> (8 * i));
+    q.push(rec, kRecLen);
+}
+
+/** A record's id, or ~0 for a malformed one. */
+uint64_t
+idOf(const std::string &rec)
+{
+    if (rec.size() != kRecLen)
+        return ~uint64_t{0};
+    uint64_t id = 0;
+    for (int i = 7; i >= 0; --i)
+        id = (id << 8) | static_cast<uint8_t>(rec[i]);
+    return id;
+}
+
+/** Pop everything, in order. */
+std::vector<uint64_t>
+drainIds(verif::SpillableFrontier &q)
+{
+    std::vector<uint64_t> ids;
+    std::string rec;
+    while (q.pop(rec))
+        ids.push_back(idOf(rec));
+    return ids;
+}
+
+std::vector<uint64_t>
+iota(uint64_t n)
+{
+    std::vector<uint64_t> v(n);
+    for (uint64_t i = 0; i < n; ++i)
+        v[i] = i;
+    return v;
+}
+
+TEST(SpillFrontier, RecordFifoKeepsOrderAcrossChunkSizes)
+{
+    // Records larger than a chunk get a chunk of their own; a drained
+    // FIFO must not leave an empty chunk ahead of the next record.
+    verif::RecordFifo f;
+    std::vector<std::string> want;
+    auto push = [&](size_t len, char fill) {
+        want.emplace_back(len, fill);
+        f.push(want.back().data(), static_cast<uint32_t>(len));
+    };
+    auto drain = [&]() {
+        for (const std::string &w : want) {
+            ASSERT_FALSE(f.empty());
+            EXPECT_EQ(f.front(), w);
+            f.pop();
+        }
+        EXPECT_TRUE(f.empty());
+        EXPECT_EQ(f.bytes(), 0u);
+        want.clear();
+    };
+    push(10, 'a');
+    drain();
+    push(100000, 'b');  // needs its own chunk
+    push(0, 'c');
+    push(30000, 'd');
+    push(40000, 'e');  // spills into the next chunk
+    EXPECT_EQ(f.size(), 4u);
+    EXPECT_GE(f.allocatedBytes(), f.bytes());
+    drain();
+    push(200000, 'f');
+    drain();
+}
+
+TEST(SpillFrontier, FifoOrderAcrossHeadSegmentsAndTail)
+{
+    std::string dir = tmpPath("fifo");
+    ASSERT_TRUE(util::ensureDirectory(dir));
+    verif::SpillableFrontier q;
+    q.configure(dir, "frontier");
+    for (uint64_t i = 0; i < 1000; ++i)
+        pushId(q, i);
+    q.enableSpill(recordBytes(300));
+    EXPECT_EQ(q.headStates(), 300u);
+    for (uint64_t i = 1000; i < 5000; ++i)
+        pushId(q, i);
+    EXPECT_GT(q.diskStates(), 0u);
+    EXPECT_GT(q.tailStates(), 0u);
+    EXPECT_EQ(q.size(), 5000u);
+    EXPECT_EQ(q.stats().spilledStates, q.diskStates());
+
+    // Pops interleaved with pushes still come out in push order.
+    std::vector<uint64_t> got;
+    std::string rec;
+    for (uint64_t i = 5000; i < 6000; ++i) {
+        ASSERT_TRUE(q.pop(rec));
+        got.push_back(idOf(rec));
+        pushId(q, i);
+    }
+    for (uint64_t id : drainIds(q))
+        got.push_back(id);
+    EXPECT_EQ(got, iota(6000));
+    EXPECT_TRUE(q.error().empty()) << q.error();
+    EXPECT_TRUE(q.empty());
+    // Consumed segments go at once when none are retained.
+    EXPECT_TRUE(segmentFilesIn(dir).empty());
+}
+
+TEST(SpillFrontier, ShrinkingWindowKeepsFifoOrder)
+{
+    // A smaller window arriving while segments already sit behind
+    // the head must let the head drain, not write its overflow after
+    // the newer segments.
+    std::string dir = tmpPath("shrink");
+    ASSERT_TRUE(util::ensureDirectory(dir));
+    verif::SpillableFrontier q;
+    q.configure(dir, "frontier");
+    for (uint64_t i = 0; i < 3000; ++i)
+        pushId(q, i);
+    q.enableSpill(recordBytes(2000));
+    for (uint64_t i = 3000; i < 6000; ++i)
+        pushId(q, i);
+    q.enableSpill(recordBytes(500));
+    for (uint64_t i = 6000; i < 7000; ++i)
+        pushId(q, i);
+    std::vector<uint64_t> got = drainIds(q);
+    ASSERT_EQ(got.size(), 7000u);
+    EXPECT_EQ(got[500], 500u);
+    EXPECT_EQ(got, iota(7000));
+    EXPECT_TRUE(segmentFilesIn(dir).empty());
+}
+
+TEST(SpillFrontier, RetainedSegmentsStayUntilPurged)
+{
+    std::string dir = tmpPath("retain");
+    ASSERT_TRUE(util::ensureDirectory(dir));
+    verif::SpillableFrontier q;
+    q.configure(dir, "frontier");
+    q.retainConsumed(true);
+    q.enableSpill(recordBytes(100));
+    for (uint64_t i = 0; i < 3000; ++i)
+        pushId(q, i);
+    ASSERT_GT(q.stats().segmentsWritten, 1u);
+    EXPECT_EQ(drainIds(q), iota(3000));
+    EXPECT_EQ(segmentFilesIn(dir).size(), q.stats().segmentsWritten);
+    q.purgeConsumed();
+    EXPECT_TRUE(segmentFilesIn(dir).empty());
+}
+
+TEST(SpillFrontier, AdoptedSegmentsReplayTheirRecords)
+{
+    // The resume path: a second frontier adopts the first one's live
+    // segments by reference and pops their records in order.
+    std::string dir = tmpPath("adopt");
+    ASSERT_TRUE(util::ensureDirectory(dir));
+    verif::SpillableFrontier a;
+    a.configure(dir, "frontier");
+    a.enableSpill(recordBytes(100));
+    for (uint64_t i = 0; i < 2000; ++i)
+        pushId(a, i);
+    std::vector<verif::SpillSegmentRef> refs = a.segmentRefs();
+    ASSERT_FALSE(refs.empty());
+
+    verif::SpillableFrontier b;
+    b.configure(dir, "frontier");
+    uint64_t adopted = 0;
+    for (const auto &ref : refs) {
+        std::string err;
+        ASSERT_TRUE(b.adoptSegment(ref, &err)) << err;
+        adopted += ref.states;
+    }
+    std::vector<uint64_t> got = drainIds(b);
+    std::vector<uint64_t> want(iota(100 + adopted));
+    want.erase(want.begin(), want.begin() + 100);  // a's head
+    EXPECT_EQ(got, want);
+    a.removeSegmentFiles();
+    EXPECT_TRUE(segmentFilesIn(dir).empty());
+}
+
+TEST(SpillFrontier, VersionOneSegmentRefused)
+{
+    // A v1 frontier segment (serialized states) with a valid seal.
+    std::string path = tmpPath("v1-frontier.seg");
+    std::string img = "HGSPILLQ";
+    auto put = [&](uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            img.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    put(1, 4);  // version
+    put(0, 8);  // states
+    put(0, 8);  // payload bytes
+    uint64_t sum = util::fnv1a64(img.data(), img.size());
+    put(sum, 8);
+    std::ofstream(path, std::ios::binary) << img;
+
+    verif::SpillSegmentRef ref;
+    ref.path = path;
+    ref.bytes = img.size();
+    ref.checksum = sum;
+    verif::SpillableFrontier q;
+    std::string err;
+    EXPECT_FALSE(q.adoptSegment(ref, &err));
+    EXPECT_NE(err.find("format version"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------
+// Frontier segments on a hierarchical system: MSI/MSI non-stalling
+// 2H+1L, symmetry on. Capped runs and a resume from a checkpoint
+// that references frontier segments must match the unlimited run.
+
+HierProtocol
+hierMsi()
+{
+    Protocol l = protocols::builtinProtocol("MSI");
+    Protocol h = protocols::builtinProtocol("MSI");
+    core::HierGenOptions gopts;
+    gopts.mode = ConcurrencyMode::NonStalling;
+    return core::generate(l, h, gopts);
+}
+
+std::vector<size_t>
+hierCensus(const HierProtocol &p)
+{
+    std::vector<size_t> out;
+    for (const Machine *m : p.machines()) {
+        out.push_back(m->numReachedTransitions());
+        out.push_back(m->numReachedStates());
+    }
+    return out;
+}
+
+verif::CheckOptions
+hierOpts()
+{
+    verif::CheckOptions o;
+    o.traceOnError = false;
+    o.numThreads = 1;
+    return o;
+}
+
+TEST(SpillHier, CappedRunMatchesUnlimited)
+{
+    HierProtocol clean = hierMsi();
+    auto ref = verif::checkHier(clean, 2, 1, hierOpts());
+    ASSERT_TRUE(ref.ok) << ref.summary();
+    ASSERT_TRUE(ref.symmetryReduction);
+
+    for (unsigned threads : {1u, kParThreads}) {
+        std::string dir = tmpPath("hier-" + std::to_string(threads));
+        verif::CheckOptions o = spillOpts(hierOpts(), dir);
+        o.numThreads = threads;
+        HierProtocol p = hierMsi();
+        auto r = verif::checkHier(p, 2, 1, o);
+        EXPECT_TRUE(r.ok) << r.summary();
+        EXPECT_TRUE(r.spilledToDisk) << threads;
+        EXPECT_EQ(ref.statesExplored, r.statesExplored) << threads;
+        EXPECT_EQ(ref.statesGenerated, r.statesGenerated) << threads;
+        EXPECT_EQ(ref.transitionsFired, r.transitionsFired) << threads;
+        EXPECT_EQ(hierCensus(clean), hierCensus(p)) << threads;
+        EXPECT_TRUE(segmentFilesIn(dir).empty()) << threads;
+    }
+}
+
+TEST(SpillHier, OneWorkerSpilledQueueKeepsBfsOrder)
+{
+    // One worker pops a spilled queue in unlimited BFS order, so a
+    // run capped at N expansions expands the same N states: the same
+    // successors, transitions and census.
+    verif::CheckOptions o = hierOpts();
+    o.maxStates = 60000;
+    HierProtocol clean = hierMsi();
+    auto ref = verif::checkHier(clean, 2, 1, o);
+    ASSERT_EQ(ref.errorKind, hieragen::ErrorKind::StateLimit);
+
+    HierProtocol p = hierMsi();
+    auto r = verif::checkHier(p, 2, 1, spillOpts(o, tmpPath("hier-bfs")));
+    ASSERT_EQ(r.errorKind, hieragen::ErrorKind::StateLimit)
+        << r.summary();
+    EXPECT_TRUE(r.spilledToDisk);
+    EXPECT_EQ(ref.statesGenerated, r.statesGenerated);
+    EXPECT_EQ(ref.transitionsFired, r.transitionsFired);
+    EXPECT_EQ(hierCensus(clean), hierCensus(p));
+}
+
+TEST(SpillHier, ResumeThroughFrontierSegments)
+{
+    HierProtocol clean = hierMsi();
+    auto ref = verif::checkHier(clean, 2, 1, hierOpts());
+    ASSERT_TRUE(ref.ok) << ref.summary();
+
+    // A finished resume deletes the segments it adopted, so each
+    // resume width gets its own kill.
+    for (unsigned threads : {1u, kParThreads}) {
+        std::string tag = "hier-resume-" + std::to_string(threads);
+        std::string dir = tmpPath(tag);
+        std::string ckpt = tmpPath(tag + ".ckpt");
+
+        verif::CheckOptions ko = spillOpts(hierOpts(), dir);
+        ko.maxStates = ref.statesExplored * 3 / 4;
+        ko.checkpointPath = ckpt;
+        HierProtocol killed = hierMsi();
+        auto kr = verif::checkHier(killed, 2, 1, ko);
+        ASSERT_EQ(kr.errorKind, hieragen::ErrorKind::StateLimit)
+            << kr.summary();
+        ASSERT_GE(kr.checkpointsWritten, 1u);
+
+        verif::CheckpointData data;
+        auto io = verif::CheckpointReader().read(ckpt, data);
+        ASSERT_TRUE(io.ok) << io.error;
+        ASSERT_FALSE(data.frontierSegments.empty()) << threads;
+
+        HierProtocol resumed = hierMsi();
+        verif::CheckOptions ro = spillOpts(hierOpts(), dir);
+        ro.numThreads = threads;
+        ro.resume = &data;
+        auto rr = verif::checkHier(resumed, 2, 1, ro);
+        EXPECT_TRUE(rr.ok) << rr.summary();
+        EXPECT_TRUE(rr.resumedFromCheckpoint);
+        EXPECT_EQ(ref.statesExplored, rr.statesExplored) << threads;
+        EXPECT_EQ(ref.statesGenerated, rr.statesGenerated) << threads;
+        EXPECT_EQ(ref.transitionsFired, rr.transitionsFired) << threads;
+        EXPECT_EQ(hierCensus(clean), hierCensus(resumed)) << threads;
+        EXPECT_TRUE(segmentFilesIn(dir).empty()) << threads;
     }
 }
 

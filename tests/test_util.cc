@@ -11,10 +11,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/unixsock.hh"
@@ -81,6 +84,46 @@ TEST(Logging, LevelsGate)
     inform("should not crash");
     warn("should not crash");
     setLogLevel(LogLevel::Warn);
+}
+
+// --- readFileToString ------------------------------------------
+
+std::string
+tmpFile(const std::string &name)
+{
+    return testing::TempDir() + std::to_string(::getpid()) + ".util." +
+           name;
+}
+
+TEST(ReadFile, BinaryFileWithNulBytesRoundTrips)
+{
+    std::string bytes;
+    for (int i = 0; i < 200000; ++i)
+        bytes.push_back(static_cast<char>(i % 7 == 0 ? 0 : i & 0xff));
+    std::string path = tmpFile("binary");
+    std::ofstream(path, std::ios::binary) << bytes;
+    std::string out = "stale contents";
+    ASSERT_TRUE(util::readFileToString(path, out));
+    EXPECT_EQ(out.size(), bytes.size());
+    EXPECT_EQ(out, bytes);
+    std::remove(path.c_str());
+}
+
+TEST(ReadFile, EmptyFileReadsEmpty)
+{
+    std::string path = tmpFile("empty");
+    std::ofstream(path, std::ios::binary).close();
+    std::string out = "stale contents";
+    ASSERT_TRUE(util::readFileToString(path, out));
+    EXPECT_TRUE(out.empty());
+    std::remove(path.c_str());
+}
+
+TEST(ReadFile, MissingFileFails)
+{
+    std::string out;
+    EXPECT_FALSE(
+        util::readFileToString(tmpFile("does-not-exist"), out));
 }
 
 // --- LineServer ------------------------------------------------

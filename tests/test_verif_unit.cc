@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests for the verification substrate itself: state encoding
- * canonicalization, ordered-channel delivery, and system layout.
+ * canonicalization, the packed-record decoder, ordered-channel
+ * delivery, and system layout.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/hiera.hh"
 #include "protocols/registry.hh"
 #include "verif/system.hh"
 
@@ -150,6 +156,194 @@ TEST(VerifSystem, HierLayout)
     verif::System sys = verif::buildFlatSystem(l, 1);
     EXPECT_EQ(sys.nodes.size(), 2u);
     (void)h;
+}
+
+// ---------------------------------------------------------------
+// Packed-record decoder: SysState::decodeFrom inverts the packed
+// encodeTo(sys, ...) on states from random walks, in every encoding
+// mode the checker uses.
+
+/** Interpreter callbacks for the walks (mirrors the checker's). */
+class WalkEnv : public ExecEnv
+{
+  public:
+    verif::SysState *st = nullptr;
+    bool failed = false;
+
+    void send(const Msg &m) override { st->insertMsg(m); }
+
+    uint8_t
+    storeValue(NodeId) override
+    {
+        st->ghost = static_cast<uint8_t>(1 - st->ghost);
+        return st->ghost;
+    }
+
+    void loadObserved(NodeId, bool, uint8_t) override {}
+    void error(const std::string &) override { failed = true; }
+};
+
+/** @p n states met along seeded random walks from the initial state
+ *  (a walk restarts at a state with no successor). Their seqs are
+ *  send-history values, not channel ranks. */
+std::vector<verif::SysState>
+walkStates(const verif::System &sys, unsigned seed, size_t n)
+{
+    std::mt19937 rng(seed);
+    std::vector<verif::SysState> out;
+    verif::SysState cur = verif::initialState(sys, 2);
+    std::vector<char> mask;
+    while (out.size() < n) {
+        out.push_back(cur);
+        std::vector<verif::SysState> succ;
+        cur.deliverableMask(*sys.msgs, mask);
+        for (size_t mi = 0; mi < cur.msgs.size(); ++mi) {
+            if (!mask[mi])
+                continue;
+            const Msg m = cur.msgs[mi];
+            verif::SysState next;
+            next.assignWithoutMsg(cur, mi);
+            WalkEnv env;
+            env.st = &next;
+            if (deliverMsg(sys.nodes[m.dst], *sys.msgs,
+                           next.blocks[m.dst], m, env) ==
+                    StepResult::Executed &&
+                !env.failed) {
+                succ.push_back(std::move(next));
+            }
+        }
+        for (size_t li = 0; li < sys.leafCaches.size(); ++li) {
+            if (cur.budget[li] == 0)
+                continue;
+            NodeId c = sys.leafCaches[li];
+            for (Access a : {Access::Load, Access::Store, Access::Evict}) {
+                EventKey ev = EventKey::mkAccess(a);
+                if (!sys.nodes[c].machine->hasTransition(
+                        cur.blocks[c].state, ev))
+                    continue;
+                verif::SysState next = cur;
+                next.budget[li] -= 1;
+                WalkEnv env;
+                env.st = &next;
+                if (deliverEvent(sys.nodes[c], *sys.msgs, next.blocks[c],
+                                 ev, nullptr, env) ==
+                        StepResult::Executed &&
+                    !env.failed) {
+                    succ.push_back(std::move(next));
+                }
+            }
+        }
+        cur = succ.empty() ? verif::initialState(sys, 2)
+                           : succ[rng() % succ.size()];
+    }
+    return out;
+}
+
+/** Rank of msgs[i] within its (src, dst) channel. */
+int32_t
+channelRank(const verif::SysState &st, size_t i)
+{
+    int32_t rank = 0;
+    for (const Msg &o : st.msgs) {
+        rank += o.src == st.msgs[i].src && o.dst == st.msgs[i].dst &&
+                o.seq < st.msgs[i].seq;
+    }
+    return rank;
+}
+
+/** Decode @p enc, then check the result re-encodes to @p enc and
+ *  equals @p src with every seq renumbered to its channel rank. */
+void
+expectRoundTrip(const verif::System &sys, const verif::SysState &src,
+                const std::string &enc, const std::string &what)
+{
+    verif::EncodeScratch esc;
+    verif::SysState d;
+    ASSERT_TRUE(d.decodeFrom(sys, enc.data(), enc.size())) << what;
+    std::string again;
+    d.encodeTo(sys, again, esc);
+    EXPECT_EQ(again, enc) << what;
+    EXPECT_EQ(d.blocks, src.blocks) << what;
+    EXPECT_EQ(d.budget, src.budget) << what;
+    EXPECT_EQ(d.ghost, src.ghost) << what;
+    ASSERT_EQ(d.msgs.size(), src.msgs.size()) << what;
+    for (size_t i = 0; i < d.msgs.size(); ++i) {
+        EXPECT_TRUE(d.msgs[i] == src.msgs[i]) << what << " msg " << i;
+        EXPECT_EQ(d.msgs[i].seq, channelRank(src, i)) << what;
+        EXPECT_EQ(d.msgs[i].addr, 0) << what;
+    }
+
+    // A record one byte short or one byte long is refused.
+    EXPECT_FALSE(d.decodeFrom(sys, enc.data(), enc.size() - 1)) << what;
+    std::string longer = enc + '\0';
+    EXPECT_FALSE(d.decodeFrom(sys, longer.data(), longer.size())) << what;
+}
+
+/** Round-trip every walk state through both packed encodings. */
+void
+checkDecoder(const verif::System &sys, const std::string &what)
+{
+    verif::EncodeScratch esc;
+    std::string enc;
+    size_t renumbered = 0;
+    for (const verif::SysState &st : walkStates(sys, 7, 400)) {
+        st.encodeTo(sys, enc, esc);
+        expectRoundTrip(sys, st, enc, what + " plain");
+        verif::SysState canon = st;
+        canon.encodeCanonicalTo(sys, enc, esc);
+        expectRoundTrip(sys, canon, enc, what + " canonical");
+        for (size_t i = 0; i < st.msgs.size(); ++i)
+            renumbered += channelRank(st, i) != st.msgs[i].seq;
+        if (testing::Test::HasFailure())
+            return;
+    }
+    // The walks must reach messages whose seq is not their rank.
+    EXPECT_GT(renumbered, 0u) << what;
+}
+
+TEST(VerifDecode, FlatProtocolsRoundTrip)
+{
+    for (const char *name : {"MSI", "MESI", "MOSI"}) {
+        Protocol p = protocols::builtinProtocol(name);
+        verif::System sys = verif::buildFlatSystem(p, 3);
+        ASSERT_FALSE(sys.symPerms.empty());  // exact orbit enumeration
+        checkDecoder(sys, name);
+    }
+}
+
+TEST(VerifDecode, HierarchicalRoundTrip)
+{
+    Protocol l = protocols::builtinProtocol("MSI");
+    Protocol h = protocols::builtinProtocol("MSI");
+    core::HierGenOptions gopts;
+    gopts.mode = ConcurrencyMode::NonStalling;
+    HierProtocol hp = core::generate(l, h, gopts);
+    checkDecoder(verif::buildHierSystem(hp, 2, 1), "MSI/MSI 2H+1L");
+    checkDecoder(verif::buildHierSystem(hp, 1, 2), "MSI/MSI 1H+2L");
+}
+
+TEST(VerifDecode, SortedOrbitFallbackRoundTrip)
+{
+    // 7! orbit images exceed the exact-enumeration cap, so
+    // canonicalization takes the sorted-orbit heuristic.
+    Protocol p = protocols::builtinProtocol("MSI");
+    verif::System sys = verif::buildFlatSystem(p, 7);
+    ASSERT_TRUE(sys.symPerms.empty());
+    checkDecoder(sys, "MSI x7");
+}
+
+TEST(VerifDecode, RejectsShortAndMalformedRecords)
+{
+    VerifFixture f;
+    verif::SysState d;
+    EXPECT_FALSE(d.decodeFrom(f.sys, "", 0));
+    EXPECT_FALSE(d.decodeFrom(f.sys, "\x01", 1));
+    // An all-ones record of a valid length holds out-of-range ids.
+    verif::EncodeScratch esc;
+    std::string enc;
+    verif::initialState(f.sys, 2).encodeTo(f.sys, enc, esc);
+    std::string ones(enc.size(), '\xff');
+    EXPECT_FALSE(d.decodeFrom(f.sys, ones.data(), ones.size()));
 }
 
 } // namespace
