@@ -11,9 +11,8 @@
  * written so the perf trajectory can be tracked across PRs. Every
  * configuration is run with symmetry reduction on AND off, so the
  * JSON records the state-space shrink (symmetry_reduction_factor) and
- * the wall-time effect explicitly, plus a partial-order-reduction-off
- * twin recording por_reduction_factor; --no-symmetry / --no-por force
- * every run unreduced, and --micro runs the delivery/canonicalization
+ * the wall-time effect explicitly; --no-symmetry forces every run
+ * unreduced, and --micro runs the delivery/canonicalization
  * microbenchmarks instead of the sweep. The MSI/MSI non-stalling
  * 2H+2L check is additionally run single- and multi-threaded to
  * record the parallel speedup (thread_scaling_valid marks whether the
@@ -52,19 +51,11 @@ struct Measurement
     double statesPerSec = 0.0;
     double omission = 0.0;
     bool symmetry = true;
-    bool por = true;
-    uint64_t ampleExpansions = 0;
     // The paired unreduced run of the same configuration (absent in
     // --no-symmetry mode, where the primary run is already unreduced).
     uint64_t statesUnreduced = 0;
     double msUnreduced = 0.0;
     double reductionFactor = 1.0;
-    // The paired POR-off run (absent in --no-por mode). The factor is
-    // states(POR off) / states(POR on), both with the primary run's
-    // symmetry setting.
-    uint64_t statesPorOff = 0;
-    double msPorOff = 0.0;
-    double porReductionFactor = 1.0;
     // Sampled per-phase attribution (--phases), summed over workers.
     verif::CheckResult::PhaseBreakdown phases;
     // Memory footprint: process VmHWM after the run (monotone across
@@ -100,8 +91,6 @@ runConfig(const HierProtocol &p, const std::string &proto,
                  : 0.0;
     m.omission = r.omissionProbability;
     m.symmetry = r.symmetryReduction;
-    m.por = r.partialOrderReduction;
-    m.ampleExpansions = r.ampleExpansions;
     m.phases = r.phases;
     m.peakRssBytes = r.peakRssBytes;
     m.spilled = r.spilledToDisk;
@@ -141,19 +130,6 @@ attachUnreduced(Measurement &m, const Measurement &off)
     m.statesUnreduced = off.states;
     m.msUnreduced = off.ms;
     m.reductionFactor =
-        m.states > 0 ? static_cast<double>(off.states) /
-                           static_cast<double>(m.states)
-                     : 1.0;
-    m.ok = m.ok && off.ok;
-}
-
-/** Attach the POR-off twin run to a POR-on measurement. */
-void
-attachPorOff(Measurement &m, const Measurement &off)
-{
-    m.statesPorOff = off.states;
-    m.msPorOff = off.ms;
-    m.porReductionFactor =
         m.states > 0 ? static_cast<double>(off.states) /
                            static_cast<double>(m.states)
                      : 1.0;
@@ -213,24 +189,15 @@ writeJson(const std::vector<Measurement> &rows, unsigned threads,
             << "\", \"threads\": " << m.threads << ", \"ok\": "
             << (m.ok ? "true" : "false")
             << ", \"symmetry\": " << (m.symmetry ? "true" : "false")
-            << ", \"por\": " << (m.por ? "true" : "false")
             << ", \"states\": " << m.states << ", \"ms\": "
             << std::fixed << std::setprecision(2) << m.ms
             << ", \"states_per_sec\": " << std::setprecision(0)
             << m.statesPerSec;
-        if (m.por)
-            out << ", \"ample_expansions\": " << m.ampleExpansions;
         if (m.statesUnreduced > 0) {
             out << ", \"states_unreduced\": " << m.statesUnreduced
                 << ", \"ms_unreduced\": " << std::setprecision(2)
                 << m.msUnreduced << ", \"symmetry_reduction_factor\": "
                 << std::setprecision(3) << m.reductionFactor;
-        }
-        if (m.statesPorOff > 0) {
-            out << ", \"states_por_off\": " << m.statesPorOff
-                << ", \"ms_por_off\": " << std::setprecision(2)
-                << m.msPorOff << ", \"por_reduction_factor\": "
-                << std::setprecision(4) << m.porReductionFactor;
         }
         if (m.phases.enabled) {
             out << ", \"phases\": {\"expand_ms\": " << std::fixed
@@ -364,15 +331,14 @@ runMicro()
 
 /**
  * Perf smoke: best-of-3 sequential runs of MSI/MSI stalling 2H+2L
- * exact — once with partial-order reduction on, once off — each
- * compared against its baseline leg ("por_on"/"por_off" objects in
- * scripts/perf_baseline.json). Fails (exit 1) below 0.7x baseline —
- * wide enough to absorb shared-runner noise, tight enough to catch a
- * real regression in the state substrate. Each leg also re-checks
- * the canonical state count, so a perf win that changes the explored
- * space (POR soundness bug, canonicalization bug) can't slip through
- * as "faster". Writes the sampled per-phase breakdown of both legs
- * to perf_smoke_phases.json for the CI artifact.
+ * exact, compared against scripts/perf_baseline.json. Fails (exit 1)
+ * below 0.7x the baseline states/sec — wide enough to absorb
+ * shared-runner noise, tight enough to catch a real regression in the
+ * state substrate. It also re-checks the canonical state count, so a
+ * perf win that changes the explored space (a canonicalization bug)
+ * can't slip through as "faster". Writes the sampled per-phase
+ * breakdown of the best run to perf_smoke_phases.json for the CI
+ * artifact.
  */
 int
 runSmoke(const std::string &baseline_path)
@@ -392,6 +358,16 @@ runSmoke(const std::string &baseline_path)
                   << ": " << perr << "\n";
         return 2;
     }
+    auto baseNumber = [&baseline](const char *key) {
+        const util::JsonValue *v = baseline.find(key);
+        return v ? v->asNumber(-1.0) : -1.0;
+    };
+    const double baseRate = baseNumber("states_per_sec");
+    const double baseStates = baseNumber("states");
+    if (baseRate <= 0) {
+        std::cerr << "perf-smoke: baseline lacks states_per_sec\n";
+        return 2;
+    }
 
     Protocol l = protocols::builtinProtocol("MSI");
     Protocol h = protocols::builtinProtocol("MSI");
@@ -399,96 +375,60 @@ runSmoke(const std::string &baseline_path)
     gopts.mode = ConcurrencyMode::Stalling;
     HierProtocol p = core::generate(l, h, gopts);
 
-    std::ofstream phasesOut("perf_smoke_phases.json");
-    phasesOut << "{\n";
-    bool pass = true;
-    int legsRun = 0;
-    const struct
-    {
-        const char *key;
-        bool por;
-    } legs[] = {{"por_on", true}, {"por_off", false}};
-    for (const auto &leg : legs) {
-        const util::JsonValue *base = baseline.find(leg.key);
-        auto baseNumber = [base](const char *key) {
-            const util::JsonValue *v = base ? base->find(key) : nullptr;
-            return v ? v->asNumber(-1.0) : -1.0;
-        };
-        const double baseRate = baseNumber("states_per_sec");
-        const double baseStates = baseNumber("states");
-        if (baseRate <= 0) {
-            std::cout << "perf-smoke: baseline has no " << leg.key
-                      << " leg, skipping\n";
-            continue;
+    verif::CheckOptions o;
+    o.accessBudget = 2;
+    o.traceOnError = false;
+    o.numThreads = 1;
+    o.phaseTiming = true;
+    double best = 0.0;
+    uint64_t states = 0;
+    bool ok = true;
+    verif::CheckResult::PhaseBreakdown phases;
+    for (int run = 0; run < 3; ++run) {
+        util::Stopwatch sw;
+        auto r = verif::checkHier(p, 2, 2, o);
+        double ms = sw.ms();
+        double rate =
+            ms > 0 ? static_cast<double>(r.statesExplored) * 1e3 / ms
+                   : 0.0;
+        if (rate > best) {
+            best = rate;
+            phases = r.phases;
         }
-        ++legsRun;
-
-        verif::CheckOptions o;
-        o.accessBudget = 2;
-        o.traceOnError = false;
-        o.numThreads = 1;
-        o.partialOrderReduction = leg.por;
-        o.phaseTiming = true;
-        double best = 0.0;
-        uint64_t states = 0;
-        bool ok = true;
-        verif::CheckResult::PhaseBreakdown phases;
-        for (int run = 0; run < 3; ++run) {
-            util::Stopwatch sw;
-            auto r = verif::checkHier(p, 2, 2, o);
-            double ms = sw.ms();
-            double rate = ms > 0 ? static_cast<double>(
-                                       r.statesExplored) *
-                                       1e3 / ms
-                                 : 0.0;
-            if (rate > best) {
-                best = rate;
-                phases = r.phases;
-            }
-            states = r.statesExplored;
-            ok = ok && r.ok;
-        }
-
-        std::cout << "perf-smoke MSI/MSI stalling 2H+2L exact (seq, "
-                  << leg.key << "): " << std::fixed
-                  << std::setprecision(0) << best
-                  << " states/sec, baseline " << baseRate << " ("
-                  << std::setprecision(2) << best / baseRate << "x), "
-                  << states << " states\n";
-        phasesOut << (legsRun > 1 ? ",\n" : "") << "  \"" << leg.key
-                  << "\": {\"states\": " << states
-                  << ", \"states_per_sec\": " << std::fixed
-                  << std::setprecision(0) << best
-                  << ", \"expand_ms\": " << std::setprecision(1)
-                  << phases.expandMs
-                  << ", \"encode_ms\": " << phases.encodeMs
-                  << ", \"canonicalize_ms\": " << phases.canonicalizeMs
-                  << ", \"insert_ms\": " << phases.insertMs
-                  << ", \"sampled_expansions\": "
-                  << phases.sampledExpansions;
-        appendPerfJson(phasesOut, phases);
-        phasesOut << "}";
-        if (!ok) {
-            std::cout << "perf-smoke FAIL (" << leg.key
-                      << "): verification did not pass\n";
-            pass = false;
-        } else if (baseStates > 0 &&
-                   states != static_cast<uint64_t>(baseStates)) {
-            std::cout << "perf-smoke FAIL (" << leg.key
-                      << "): canonical state count " << states
-                      << " != baseline "
-                      << static_cast<uint64_t>(baseStates) << "\n";
-            pass = false;
-        } else if (best < 0.7 * baseRate) {
-            std::cout << "perf-smoke FAIL (" << leg.key
-                      << "): below 0.7x baseline\n";
-            pass = false;
-        }
+        states = r.statesExplored;
+        ok = ok && r.ok;
     }
-    phasesOut << "\n}\n";
-    if (legsRun == 0) {
-        std::cerr << "perf-smoke: baseline lacks states_per_sec\n";
-        return 2;
+
+    std::cout << "perf-smoke MSI/MSI stalling 2H+2L exact (seq): "
+              << std::fixed << std::setprecision(0) << best
+              << " states/sec, baseline " << baseRate << " ("
+              << std::setprecision(2) << best / baseRate << "x), "
+              << states << " states\n";
+    std::ofstream phasesOut("perf_smoke_phases.json");
+    phasesOut << "{\"states\": " << states
+              << ", \"states_per_sec\": " << std::fixed
+              << std::setprecision(0) << best
+              << ", \"expand_ms\": " << std::setprecision(1)
+              << phases.expandMs << ", \"encode_ms\": " << phases.encodeMs
+              << ", \"canonicalize_ms\": " << phases.canonicalizeMs
+              << ", \"insert_ms\": " << phases.insertMs
+              << ", \"sampled_expansions\": " << phases.sampledExpansions;
+    appendPerfJson(phasesOut, phases);
+    phasesOut << "}\n";
+
+    bool pass = true;
+    if (!ok) {
+        std::cout << "perf-smoke FAIL: verification did not pass\n";
+        pass = false;
+    } else if (baseStates > 0 &&
+               states != static_cast<uint64_t>(baseStates)) {
+        std::cout << "perf-smoke FAIL: canonical state count " << states
+                  << " != baseline " << static_cast<uint64_t>(baseStates)
+                  << "\n";
+        pass = false;
+    } else if (best < 0.7 * baseRate) {
+        std::cout << "perf-smoke FAIL: below 0.7x baseline\n";
+        pass = false;
     }
     std::cout << (pass ? "perf-smoke PASS\n" : "perf-smoke FAIL\n");
     return pass ? 0 : 1;
@@ -503,7 +443,6 @@ main(int argc, char **argv)
     // MSI/MSI non-stalling flagship unless --full is given.
     bool full = false;
     bool symmetry = true;
-    bool por = true;
     bool phases = false;
     unsigned threads = 0;  // 0 = hardware concurrency
     for (int i = 1; i < argc; ++i) {
@@ -512,8 +451,6 @@ main(int argc, char **argv)
             full = true;
         } else if (arg == "--no-symmetry") {
             symmetry = false;
-        } else if (arg == "--no-por") {
-            por = false;
         } else if (arg == "--micro") {
             return runMicro();
         } else if (arg == "--smoke") {
@@ -528,7 +465,7 @@ main(int argc, char **argv)
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--full] [--threads N] [--no-symmetry]"
-                         " [--no-por] [--micro] [--phases]"
+                         " [--micro] [--phases]"
                          " [--smoke [baseline.json]]\n";
             return 2;
         }
@@ -542,8 +479,7 @@ main(int argc, char **argv)
     std::cout << "Section VIII-C: verification of generated protocols ("
               << threads << " thread" << (threads == 1 ? "" : "s")
               << ", symmetry reduction "
-              << (symmetry ? "on vs off" : "off") << ", POR "
-              << (por ? "on vs off" : "off") << ")\n\n";
+              << (symmetry ? "on vs off" : "off") << ")\n\n";
     std::cout << std::left << std::setw(14) << "protocol"
               << std::setw(14) << "variant" << std::setw(40)
               << "config A (2H+2L exact)" << std::setw(40)
@@ -567,7 +503,6 @@ main(int argc, char **argv)
             a.accessBudget = 2;
             a.traceOnError = false;
             a.symmetryReduction = symmetry;
-            a.partialOrderReduction = por;
             a.phaseTiming = phases;
             Measurement ma = runConfig(p, proto, toString(mode),
                                        "2H+2L exact", 2, 2, a, threads);
@@ -577,14 +512,6 @@ main(int argc, char **argv)
                 attachUnreduced(
                     ma, runConfig(p, proto, toString(mode),
                                   "2H+2L exact", 2, 2, aOff, threads));
-            }
-            if (por) {
-                verif::CheckOptions aPorOff = a;
-                aPorOff.partialOrderReduction = false;
-                attachPorOff(
-                    ma,
-                    runConfig(p, proto, toString(mode), "2H+2L exact",
-                              2, 2, aPorOff, threads));
             }
             rows.push_back(ma);
             all_ok = all_ok && ma.ok;
@@ -597,7 +524,6 @@ main(int argc, char **argv)
             b.hashCompaction = true;
             b.traceOnError = false;
             b.symmetryReduction = symmetry;
-            b.partialOrderReduction = por;
             b.phaseTiming = phases;
             auto seedSweep = [&](const verif::CheckOptions &base,
                                  double &omission_out) {
@@ -628,12 +554,6 @@ main(int argc, char **argv)
                 double omissionOff = 1.0;
                 attachUnreduced(mb, seedSweep(bOff, omissionOff));
             }
-            if (por) {
-                verif::CheckOptions bPorOff = b;
-                bPorOff.partialOrderReduction = false;
-                double omissionPorOff = 1.0;
-                attachPorOff(mb, seedSweep(bPorOff, omissionPorOff));
-            }
             mb.statesPerSec = mb.ms > 0
                                   ? static_cast<double>(mb.states) *
                                         2e3 / mb.ms
@@ -648,9 +568,6 @@ main(int argc, char **argv)
             if (symmetry)
                 cell_a << ", x" << std::setprecision(2)
                        << ma.reductionFactor;
-            if (por)
-                cell_a << ", por x" << std::setprecision(3)
-                       << ma.porReductionFactor;
             std::ostringstream cell_b;
             cell_b << (mb.ok ? "PASS " : "FAIL ") << mb.states
                    << " st, " << std::fixed << std::setprecision(0)
@@ -678,7 +595,6 @@ main(int argc, char **argv)
     fo.accessBudget = 2;
     fo.traceOnError = false;
     fo.symmetryReduction = symmetry;
-    fo.partialOrderReduction = por;
     fo.phaseTiming = phases;
     // The flagship's canonical state count is known; pre-sizing the
     // table skips the growth rehashes (CheckOptions::expectedStates).

@@ -210,7 +210,6 @@ checkResultToJson(const verif::CheckResult &r)
        << (r.resumedFromCheckpoint ? "true" : "false")
        << ",\"checkpoints_written\":" << r.checkpointsWritten
        << ",\"symmetry\":" << (r.symmetryReduction ? "true" : "false")
-       << ",\"por\":" << (r.partialOrderReduction ? "true" : "false")
        << ",\"spilled\":" << (r.spilledToDisk ? "true" : "false")
        << ",\"peak_rss_bytes\":" << r.peakRssBytes << "}";
     return os.str();

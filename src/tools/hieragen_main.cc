@@ -17,8 +17,6 @@
  *   --optimized-compat                 Section V-D optimized solution
  *   --no-merge                         skip equivalent-state merging
  *   --verify                           model-check the result (2H+2L)
- *   --no-por                           disable partial-order reduction
- *                                      (explore every interleaving)
  *   --threads N                        checker worker threads
  *                                      (0 = one per hardware thread)
  *   --dump                             print all four FSM tables
@@ -174,7 +172,6 @@ struct Args
     bool optimizedCompat = false;
     bool noMerge = false;
     bool verify = false;
-    bool noPor = false;
     unsigned threads = 0;
     bool dump = false;
     bool listPasses = false;
@@ -205,7 +202,7 @@ usage(const char *argv0)
            "--higher-file F]\n"
            "       [--mode atomic|stalling|nonstalling] "
            "[--optimized-compat]\n"
-           "       [--no-merge] [--verify] [--no-por] [--threads N] "
+           "       [--no-merge] [--verify] [--threads N] "
            "[--dump] [-o FILE]\n"
            "       [--checkpoint[=SECS] FILE] [--resume FILE]\n"
            "       [--max-memory BYTES] [--degrade-on-limit] "
@@ -269,8 +266,6 @@ parseArgs(int argc, char **argv)
             a.noMerge = true;
         } else if (arg == "--verify") {
             a.verify = true;
-        } else if (arg == "--no-por") {
-            a.noPor = true;
         } else if (arg == "--threads") {
             a.threads = static_cast<unsigned>(
                 std::strtoul(need(i).c_str(), nullptr, 10));
@@ -509,7 +504,7 @@ runReportVerb(int argc, char **argv)
     if (const obs::JournalRecord *r = rp.last("engine_start")) {
         md << "- engine: " << r->fieldString("engine") << ", workers "
            << r->fieldU64("workers") << ", symmetry "
-           << r->field("symmetry") << ", por " << r->field("por")
+           << r->field("symmetry")
            << ", hash compaction " << r->field("hash_compaction")
            << "\n";
     }
@@ -1004,7 +999,6 @@ runGenerateVerb(int argc, char **argv)
             verif::CheckOptions vo;
             vo.accessBudget = 2;
             vo.numThreads = args.threads;
-            vo.partialOrderReduction = !args.noPor;
             vo.phaseTiming = args.phases;
             if (wantTelemetry)
                 vo.telemetry = &telem;

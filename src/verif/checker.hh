@@ -99,24 +99,8 @@ struct CheckOptions
      */
     bool symmetryReduction = true;
 
-    /**
-     * Partial-order reduction for commuting message deliveries: when
-     * an expansion has a deliverable message that provably commutes
-     * with every other enabled transition (disjoint target machines,
-     * no possible send back into its destination in one step, no
-     * observable effect on the checked invariants, and an acyclicity
-     * rank on its message type that rules out ignoring cycles), the
-     * checker explores only that delivery from the state instead of
-     * the full product of interleavings. The reduced successor
-     * relation is a pure function of the state, so every thread
-     * count (and every resumed run) explores the identical reduced
-     * graph. Composes with symmetry reduction. Verdicts,
-     * deadlock detection, counterexample traces and the Section V-E
-     * census are preserved (docs/VERIFIER.md, "Partial-order
-     * reduction"); the off switch exists for parity testing and for
-     * measuring the reduction.
-     */
-    bool partialOrderReduction = true;
+    /** Ignored; stays only until the benchmark driver drops `--por`. */
+    bool partialOrderReduction = false;
 
     /** Record parent links so violations come with a trace. */
     bool traceOnError = true;
@@ -268,12 +252,9 @@ struct CheckResult
     /** Whether symmetry reduction actually ran (option on AND the
      *  system has at least one nontrivial symmetry class). */
     bool symmetryReduction = false;
-    /** Whether partial-order reduction ran (option on). */
+    /** Always false; stays only until the benchmark driver drops `--por`. */
     bool partialOrderReduction = false;
-    /** Expansions collapsed to a single ample delivery by POR. The
-     *  reduction in explored states is measured by comparing runs
-     *  (POR on vs off); this counts how often the ample fast path
-     *  fired within this run. */
+    /** Always 0; stays only until the benchmark driver drops `--por`. */
     uint64_t ampleExpansions = 0;
     /** Whether states were stored as 64-bit signatures. */
     bool hashCompaction = false;
@@ -331,7 +312,9 @@ struct CheckResult
      * symmetry orbit walk on top of it (zero with reduction off);
      * `insertMs` covers the visited-table probe/insert. All values
      * are scaled up from a 1-in-8 sample, so they are estimates good
-     * to a few percent, not exact sums.
+     * to a few percent, not exact sums; the one exception is
+     * visited-table growth, timed on every rehash and added unscaled
+     * to `expandMs` and `insertMs`.
      */
     struct PhaseBreakdown
     {

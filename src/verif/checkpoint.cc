@@ -183,7 +183,9 @@ optionsFingerprint(const CheckOptions &opts)
     m.mix(static_cast<uint64_t>(opts.hashCompaction));
     m.mix(opts.compactionSeed);
     m.mix(static_cast<uint64_t>(opts.symmetryReduction));
-    m.mix(static_cast<uint64_t>(opts.partialOrderReduction));
+    // The slot that held the partial-order-reduction bit: 0, so an
+    // unreduced checkpoint from before its removal still resumes.
+    m.mix(uint64_t{0});
     m.mix(static_cast<uint64_t>(opts.markReached));
     return m.value();
 }
@@ -245,8 +247,9 @@ resumeCompatibilityError(const CheckpointData &data, const System &sys,
 {
     if (data.header.optionsFingerprint != optionsFingerprint(opts)) {
         return "checkpoint was written under different check options "
-               "(access budget, compaction, symmetry, partial-order "
-               "reduction or atomicity differ); refusing to resume";
+               "(access budget, compaction, symmetry or atomicity "
+               "differ, or it holds a partial-order-reduced state "
+               "space); refusing to resume";
     }
     if (data.header.systemHash != systemConfigHash(sys)) {
         return "checkpoint was written for a different system "

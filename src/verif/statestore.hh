@@ -237,6 +237,7 @@ class StateStore
     uint64_t size() const { return hot_.size(); }
     uint64_t capacity() const { return hot_.capacity(); }
     uint64_t rehashes() const { return hot_.rehashes(); }
+    uint64_t growNs() const { return hot_.growNs(); }
     double loadFactor() const { return hot_.loadFactor(); }
 
     /** Resident bytes of the hot tier (= what a spill would free). */

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/logging.hh"
+#include "util/stopwatch.hh"
 
 // Batched fingerprint compare: one aligned group of eight 64-bit
 // slots per step. Define HIERAGEN_SCALAR_PROBE to force the portable
@@ -125,6 +126,7 @@ StateTable::grow(uint64_t minCapacity)
     if (cap <= fps_.size())
         return;
 
+    util::Stopwatch sw;
     std::vector<uint64_t> oldFps = std::move(fps_);
     std::vector<uint64_t> oldRefs = std::move(refs_);
     fps_.assign(cap, 0);
@@ -145,6 +147,7 @@ StateTable::grow(uint64_t minCapacity)
     }
     if (!oldFps.empty())
         ++rehashes_;
+    growNs_ += static_cast<uint64_t>(sw.ns());
 }
 
 void

@@ -149,6 +149,8 @@ class StateTable
     uint64_t size() const { return size_; }
     uint64_t capacity() const { return fps_.size(); }
     uint64_t rehashes() const { return rehashes_; }
+    /** Wall time spent growing the slot arrays, in nanoseconds. */
+    uint64_t growNs() const { return growNs_; }
 
     double
     loadFactor() const
@@ -223,6 +225,7 @@ class StateTable
     StateArena arena_;
     uint64_t size_ = 0;
     uint64_t rehashes_ = 0;
+    uint64_t growNs_ = 0;
     unsigned shift_ = 64;  ///< 64 - log2(capacity)
     bool hasZero_ = false; ///< hash mode: signature 0 present
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/registry.hh"
+#include "seeded_bugs.hh"
 #include "verif/checker.hh"
 
 namespace hieragen
@@ -112,19 +113,7 @@ TEST(CheckerDetectsBugs, DroppedInvalidationViolatesSwmr)
     // Sabotage MSI: S + Inv acks but stays in S. The checker must
     // catch the resulting reader-while-writer state.
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId inv = p.msgs.find("Inv", Level::Lower);
-    StateId s = p.cache.findState("S");
-    auto *alts = p.cache.transitionsForMutable(s, EventKey::mkMsg(inv));
-    ASSERT_NE(alts, nullptr);
-    alts->front().next = s;  // stay in S instead of dropping to I
-    // Remove the InvalidateLine op so data survives too.
-    auto &ops = alts->front().ops;
-    ops.erase(std::remove_if(ops.begin(), ops.end(),
-                             [](const Op &op) {
-                                 return op.code ==
-                                        OpCode::InvalidateLine;
-                             }),
-              ops.end());
+    seeded::dropInvalidation(p.cache, p.msgs, Level::Lower);
 
     auto r = verif::checkFlat(p, 2, atomicOpts());
     EXPECT_FALSE(r.ok);
@@ -137,12 +126,7 @@ TEST(CheckerDetectsBugs, LostResponseDeadlocks)
 {
     // Sabotage MI: the directory never answers GetM in state I.
     Protocol p = protocols::builtinProtocol("MI");
-    MsgTypeId getm = p.msgs.find("GetM", Level::Lower);
-    StateId i = p.directory.findState("I");
-    auto *alts =
-        p.directory.transitionsForMutable(i, EventKey::mkMsg(getm));
-    ASSERT_NE(alts, nullptr);
-    alts->front().ops.clear();  // drop the Data response + setowner
+    seeded::dropGetM(p.directory, p.msgs, Level::Lower);
 
     auto r = verif::checkFlat(p, 2, atomicOpts());
     EXPECT_FALSE(r.ok);
@@ -154,11 +138,7 @@ TEST(CheckerDetectsBugs, StaleDataCaught)
     // Sabotage MSI: M + FwdGetS responds but keeps state M (two
     // "owners" once the requestor fills in S): data-value or SWMR.
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId fwd = p.msgs.find("FwdGetS", Level::Lower);
-    StateId m = p.cache.findState("M");
-    auto *alts = p.cache.transitionsForMutable(m, EventKey::mkMsg(fwd));
-    ASSERT_NE(alts, nullptr);
-    alts->front().next = m;
+    seeded::keepOwnerOnFwdGetS(p.cache, p.msgs, Level::Lower);
 
     auto r = verif::checkFlat(p, 2, atomicOpts());
     EXPECT_FALSE(r.ok) << r.summary();

@@ -6,13 +6,17 @@
  * The contract under test: verif::check with numThreads > 1 returns
  * the same verdict and — on clean runs — identical statesExplored,
  * statesGenerated and transitionsFired as the sequential algorithm,
- * in both exact and hash-compaction modes.
+ * in both exact and hash-compaction modes. The engine has a single
+ * successor relation, full expansion, so the explored space of every
+ * builtin configuration is pinned by count, the same at one worker
+ * and at several, and seeded bugs are caught at both.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "seeded_bugs.hh"
 #include "verif/checker.hh"
 
 namespace hieragen
@@ -135,18 +139,7 @@ TEST(ParallelMechanics, BugStillCaughtWithTrace)
     // ignores Inv. The parallel checker must find a violation and
     // still produce a counterexample trace.
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId inv = p.msgs.find("Inv", Level::Lower);
-    StateId s = p.cache.findState("S");
-    auto *alts = p.cache.transitionsForMutable(s, EventKey::mkMsg(inv));
-    ASSERT_NE(alts, nullptr);
-    alts->front().next = s;
-    auto &ops = alts->front().ops;
-    ops.erase(std::remove_if(ops.begin(), ops.end(),
-                             [](const Op &op) {
-                                 return op.code ==
-                                        OpCode::InvalidateLine;
-                             }),
-              ops.end());
+    seeded::dropInvalidation(p.cache, p.msgs, Level::Lower);
 
     verif::CheckOptions o = atomicOpts();
     o.numThreads = kParThreads;
@@ -160,12 +153,7 @@ TEST(ParallelMechanics, BugStillCaughtWithTrace)
 TEST(ParallelMechanics, DeadlockStillCaught)
 {
     Protocol p = protocols::builtinProtocol("MI");
-    MsgTypeId getm = p.msgs.find("GetM", Level::Lower);
-    StateId i = p.directory.findState("I");
-    auto *alts =
-        p.directory.transitionsForMutable(i, EventKey::mkMsg(getm));
-    ASSERT_NE(alts, nullptr);
-    alts->front().ops.clear();
+    seeded::dropGetM(p.directory, p.msgs, Level::Lower);
 
     verif::CheckOptions o = atomicOpts();
     o.numThreads = kParThreads;
@@ -201,6 +189,220 @@ TEST(ParallelMechanics, CensusMatchesSequential)
     EXPECT_EQ(seqP.cache.numReachedStates(),
               parP.cache.numReachedStates());
 }
+
+// ---------------------------------------------------------------
+// The explored space, pinned: each count is the full-expansion space
+// of its configuration, and the engine must reach exactly it at one
+// worker and at several. A flat case (no `higher`) runs 3 caches
+// under atomicOpts(); a hierarchical one runs 2H+2L at budget 1.
+
+struct SpaceCase
+{
+    const char *lower, *higher;
+    ConcurrencyMode mode;
+    uint64_t explored, generated, fired;
+};
+
+/** Keeps the test's listed name free of the raw bytes (pointers
+ *  included) gtest would print for the struct. */
+void
+PrintTo(const SpaceCase &c, std::ostream *os)
+{
+    *os << c.lower;
+    if (c.higher)
+        *os << "/" << c.higher << " " << toString(c.mode);
+}
+
+class PinnedSpace : public ::testing::TestWithParam<SpaceCase>
+{
+};
+
+TEST_P(PinnedSpace, SameAtEveryThreadCount)
+{
+    const SpaceCase &c = GetParam();
+    core::HierGenOptions gopts;
+    gopts.mode = c.mode;
+    for (unsigned threads : {1u, kParThreads}) {
+        verif::CheckOptions o = atomicOpts();
+        o.numThreads = threads;
+        verif::CheckResult r;
+        if (c.higher) {
+            o.atomicTransactions = false;
+            o.accessBudget = 1;
+            o.traceOnError = false;
+            r = verif::checkHier(
+                core::generate(protocols::builtinProtocol(c.lower),
+                               protocols::builtinProtocol(c.higher),
+                               gopts),
+                2, 2, o);
+        } else {
+            r = verif::checkFlat(protocols::builtinProtocol(c.lower), 3,
+                                 o);
+        }
+        std::string what = std::string(c.lower) + " x" +
+                           std::to_string(threads);
+        EXPECT_TRUE(r.ok) << what << ": " << r.summary();
+        EXPECT_EQ(r.statesExplored, c.explored) << what;
+        EXPECT_EQ(r.statesGenerated, c.generated) << what;
+        EXPECT_EQ(r.transitionsFired, c.fired) << what;
+    }
+}
+
+constexpr ConcurrencyMode kStall = ConcurrencyMode::Stalling;
+constexpr ConcurrencyMode kNonStall = ConcurrencyMode::NonStalling;
+
+INSTANTIATE_TEST_SUITE_P(
+    Builtins, PinnedSpace,
+    ::testing::Values(
+        SpaceCase{"MI", nullptr, kStall, 323, 447, 446},
+        SpaceCase{"MSI", nullptr, kStall, 897, 1452, 1451},
+        SpaceCase{"MESI", nullptr, kStall, 998, 1591, 1590},
+        SpaceCase{"MOSI", nullptr, kStall, 1169, 1777, 1776},
+        SpaceCase{"MOESI", nullptr, kStall, 1205, 1779, 1778},
+        SpaceCase{"MSI_SE", nullptr, kStall, 1026, 1724, 1723},
+        SpaceCase{"MSI", "MI", kStall, 2812, 7433, 7432},
+        SpaceCase{"MSI", "MI", kNonStall, 5004, 13995, 13994},
+        SpaceCase{"MI", "MSI", kStall, 3569, 9323, 9322},
+        SpaceCase{"MI", "MSI", kNonStall, 5647, 15675, 15674},
+        SpaceCase{"MSI", "MSI", kStall, 4809, 13284, 13283},
+        SpaceCase{"MSI", "MSI", kNonStall, 8243, 24824, 24823},
+        SpaceCase{"MESI", "MSI", kStall, 4503, 11656, 11655},
+        SpaceCase{"MESI", "MSI", kNonStall, 6997, 19417, 19416},
+        SpaceCase{"MESI", "MESI", kStall, 4335, 11076, 11075},
+        SpaceCase{"MESI", "MESI", kNonStall, 6679, 18221, 18220},
+        SpaceCase{"MOSI", "MSI", kStall, 5092, 13906, 13905},
+        SpaceCase{"MOSI", "MSI", kNonStall, 8581, 25612, 25611},
+        SpaceCase{"MOSI", "MOSI", kStall, 4681, 12497, 12496},
+        SpaceCase{"MOSI", "MOSI", kNonStall, 8276, 24300, 24299},
+        SpaceCase{"MOESI", "MOESI", kStall, 3948, 9557, 9556},
+        SpaceCase{"MOESI", "MOESI", kNonStall, 6456, 16921, 16920}),
+    [](const ::testing::TestParamInfo<SpaceCase> &i) {
+        const SpaceCase &c = i.param;
+        if (!c.higher)
+            return std::string(c.lower);
+        return std::string(c.lower) + "_" + c.higher +
+               (c.mode == kStall ? "_stalling" : "_nonstalling");
+    });
+
+HierProtocol
+msiUnderMsi()
+{
+    core::HierGenOptions gopts;
+    gopts.mode = ConcurrencyMode::NonStalling;
+    return core::generate(protocols::builtinProtocol("MSI"),
+                          protocols::builtinProtocol("MSI"), gopts);
+}
+
+TEST(ParallelMechanics, FlagshipSpacePinned)
+{
+    // MSI/MSI non-stalling 2H+1L under library defaults (symmetry and
+    // tracing on): the sequential flagship configuration.
+    HierProtocol p = msiUnderMsi();
+    for (unsigned threads : {1u, kParThreads}) {
+        verif::CheckOptions o;
+        o.numThreads = threads;
+        auto r = verif::checkHier(p, 2, 1, o);
+        EXPECT_TRUE(r.ok) << r.summary();
+        EXPECT_EQ(r.statesExplored, 83023u) << threads;
+        EXPECT_EQ(r.statesGenerated, 264411u) << threads;
+        EXPECT_EQ(r.transitionsFired, 264410u) << threads;
+    }
+}
+
+TEST(ParallelMechanics, HierCensusMatchesSequential)
+{
+    // The section V-E census of MSI/MSI non-stalling 2H+2L, as
+    // (reached transitions, reached states) per machine.
+    const size_t want[4][2] = {{24, 11}, {60, 26}, {27, 11}, {7, 4}};
+    for (unsigned threads : {1u, kParThreads}) {
+        HierProtocol p = msiUnderMsi();
+        verif::System sys = verif::buildHierSystem(p, 2, 2);
+        verif::CheckOptions o;
+        o.accessBudget = 1;
+        o.traceOnError = false;
+        o.numThreads = threads;
+        const std::vector<Machine *> machines = {&p.cacheL, &p.dirCache,
+                                                 &p.cacheH, &p.root};
+        auto r = verif::pruneUnreachable(sys, o, machines);
+        ASSERT_TRUE(r.ok) << r.summary();
+        for (size_t i = 0; i < machines.size(); ++i) {
+            EXPECT_EQ(machines[i]->numReachedTransitions(), want[i][0])
+                << "machine " << i << " x" << threads;
+            EXPECT_EQ(machines[i]->numReachedStates(), want[i][1])
+                << "machine " << i << " x" << threads;
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// Seeded bugs in each machine of MSI/MSI non-stalling 2H+2L, caught
+// with a trace at every thread count.
+
+struct MutationCase
+{
+    const char *name;
+    bool deadlock;  ///< else a SWMR or data-value violation
+    void (*sabotage)(HierProtocol &p);
+};
+
+void
+PrintTo(const MutationCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class MutationCaught : public ::testing::TestWithParam<MutationCase>
+{
+};
+
+TEST_P(MutationCaught, AtEveryThreadCount)
+{
+    const MutationCase &c = GetParam();
+    HierProtocol p = msiUnderMsi();
+    c.sabotage(p);
+    for (unsigned threads : {1u, kParThreads}) {
+        verif::CheckOptions o;
+        o.accessBudget = 1;
+        o.numThreads = threads;
+        auto r = verif::checkHier(p, 2, 2, o);
+        EXPECT_FALSE(r.ok) << c.name << " x" << threads;
+        if (c.deadlock) {
+            EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Deadlock)
+                << r.summary();
+        } else {
+            EXPECT_TRUE(r.errorKind == hieragen::ErrorKind::Swmr ||
+                        r.errorKind == hieragen::ErrorKind::DataValue)
+                << r.summary();
+        }
+        EXPECT_FALSE(r.trace.empty()) << c.name << " x" << threads;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hier, MutationCaught,
+    ::testing::Values(
+        MutationCase{"lower_cache_keeps_s", false,
+                     [](HierProtocol &p) {
+                         seeded::dropInvalidation(p.cacheL, p.msgs,
+                                                  Level::Lower);
+                     }},
+        MutationCase{"higher_cache_keeps_s", false,
+                     [](HierProtocol &p) {
+                         seeded::dropInvalidation(p.cacheH, p.msgs,
+                                                  Level::Higher);
+                     }},
+        MutationCase{"dircache_drops_getm", true,
+                     [](HierProtocol &p) {
+                         seeded::dropGetM(p.dirCache, p.msgs,
+                                          Level::Lower, "I_I");
+                     }},
+        MutationCase{"root_drops_getm", true,
+                     [](HierProtocol &p) {
+                         seeded::dropGetM(p.root, p.msgs, Level::Higher);
+                     }}),
+    [](const ::testing::TestParamInfo<MutationCase> &i) {
+        return std::string(i.param.name);
+    });
 
 // ---------------------------------------------------------------
 // Hot-path regression tests.

@@ -18,6 +18,7 @@
 
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "seeded_bugs.hh"
 #include "verif/checker.hh"
 
 namespace hieragen
@@ -269,12 +270,17 @@ TEST_P(HierSymmetryParity, SameVerdictFewerStates)
     EXPECT_EQ(on.transitionsFired, par.transitionsFired) << what;
 
     // Hash compaction on canonical signatures: same verdict, same
-    // canonical state count (collisions aside at these sizes).
+    // canonical state count (collisions aside at these sizes); and
+    // the same for the unreduced space.
     o.numThreads = 1;
     o.hashCompaction = true;
     auto compact = verif::checkHier(p, 2, 2, o);
     EXPECT_EQ(on.ok, compact.ok) << what;
     EXPECT_EQ(on.statesExplored, compact.statesExplored) << what;
+    o.symmetryReduction = false;
+    auto compactOff = verif::checkHier(p, 2, 2, o);
+    EXPECT_EQ(off.ok, compactOff.ok) << what;
+    EXPECT_EQ(off.statesExplored, compactOff.statesExplored) << what;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -293,18 +299,7 @@ TEST(SymmetryBugs, MutatedMsiStillProducesTrace)
     // violation and still reconstruct a counterexample trace (over
     // canonical representatives).
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId inv = p.msgs.find("Inv", Level::Lower);
-    StateId s = p.cache.findState("S");
-    auto *alts = p.cache.transitionsForMutable(s, EventKey::mkMsg(inv));
-    ASSERT_NE(alts, nullptr);
-    alts->front().next = s;
-    auto &ops = alts->front().ops;
-    ops.erase(std::remove_if(ops.begin(), ops.end(),
-                             [](const Op &op) {
-                                 return op.code ==
-                                        OpCode::InvalidateLine;
-                             }),
-              ops.end());
+    seeded::dropInvalidation(p.cache, p.msgs, Level::Lower);
 
     for (unsigned threads : {1u, kParThreads}) {
         verif::CheckOptions o = atomicOpts();
@@ -322,19 +317,17 @@ TEST(SymmetryBugs, MutatedMsiStillProducesTrace)
 TEST(SymmetryBugs, DeadlockStillCaught)
 {
     Protocol p = protocols::builtinProtocol("MI");
-    MsgTypeId getm = p.msgs.find("GetM", Level::Lower);
-    StateId i = p.directory.findState("I");
-    auto *alts =
-        p.directory.transitionsForMutable(i, EventKey::mkMsg(getm));
-    ASSERT_NE(alts, nullptr);
-    alts->front().ops.clear();
+    seeded::dropGetM(p.directory, p.msgs, Level::Lower);
 
-    verif::CheckOptions o = atomicOpts();
-    o.numThreads = 1;
-    o.symmetryReduction = true;
-    auto r = verif::checkFlat(p, 3, o);
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Deadlock) << r.summary();
+    for (unsigned threads : {1u, kParThreads}) {
+        verif::CheckOptions o = atomicOpts();
+        o.numThreads = threads;
+        o.symmetryReduction = true;
+        auto r = verif::checkFlat(p, 3, o);
+        EXPECT_FALSE(r.ok) << threads;
+        EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Deadlock)
+            << r.summary();
+    }
 }
 
 // ---------------------------------------------------------------

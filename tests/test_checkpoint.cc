@@ -271,6 +271,64 @@ TEST(CheckpointFormat, OptionAndSystemMismatchRefused)
     EXPECT_EQ(r.errorKind, hieragen::ErrorKind::ResumeMismatch);
 }
 
+TEST(CheckpointFormat, UnreducedCheckpointsFromBeforePorRemovalResume)
+{
+    // Default options fingerprint exactly as they did while the
+    // partial-order-reduction bit existed and was off, so those v3
+    // checkpoints still resume. One written with reduction on (the
+    // old default) holds a reduced visited set and must be refused.
+    constexpr uint64_t kPorOff = 0xb0e1f54a5683c255ull;
+    constexpr uint64_t kPorOn = 0xc1ea7d0053ba4654ull;
+    verif::CheckOptions o;
+    EXPECT_EQ(verif::optionsFingerprint(o), kPorOff);
+
+    // Default options need a concurrent protocol: MSI/MSI 2H+1L.
+    core::HierGenOptions g;
+    g.mode = ConcurrencyMode::NonStalling;
+    HierProtocol p = core::generate(protocols::builtinProtocol("MSI"),
+                                    protocols::builtinProtocol("MSI"), g);
+    std::string path = tmpPath("por-off.ckpt");
+    verif::CheckOptions cut = o;
+    cut.numThreads = 1;  // neither is fingerprinted
+    cut.maxStates = 300;
+    cut.checkpointPath = path;
+    auto cr = verif::checkHier(p, 2, 1, cut);
+    ASSERT_EQ(cr.errorKind, hieragen::ErrorKind::StateLimit)
+        << cr.summary();
+    verif::CheckpointData data;
+    ASSERT_TRUE(verif::CheckpointReader().read(path, data).ok);
+    EXPECT_EQ(data.header.optionsFingerprint, kPorOff);
+    verif::System sys = verif::buildHierSystem(p, 2, 1);
+    EXPECT_EQ(verif::resumeCompatibilityError(data, sys, o), "");
+
+    // The same snapshot under the POR-on fingerprint.
+    ASSERT_TRUE(verif::restoreCensus(sys, data));
+    verif::CheckpointHeader header = data.header;
+    header.optionsFingerprint = kPorOn;
+    std::string porOn = tmpPath("por-on.ckpt");
+    verif::CheckpointWriter w(porOn);
+    w.begin(header);
+    w.beginVisited(data.visitedExact.size(), false);
+    for (const auto &enc : data.visitedExact)
+        w.addVisitedExact(enc);
+    w.beginFrontier(data.frontier.size());
+    for (const auto &st : data.frontier)
+        w.addFrontierState(st);
+    w.addCensus(sys);
+    ASSERT_TRUE(w.commit().ok);
+
+    verif::CheckpointData reduced;
+    ASSERT_TRUE(verif::CheckpointReader().read(porOn, reduced).ok);
+    verif::CheckOptions resume = o;
+    resume.resume = &reduced;
+    auto r = verif::checkHier(p, 2, 1, resume);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorKind, hieragen::ErrorKind::ResumeMismatch)
+        << r.summary();
+    std::remove(path.c_str());
+    std::remove(porOn.c_str());
+}
+
 // ---------------------------------------------------------------
 // Resume determinism.
 

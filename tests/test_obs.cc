@@ -18,6 +18,7 @@
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "protocols/registry.hh"
+#include "seeded_bugs.hh"
 #include "util/logging.hh"
 #include "verif/checker.hh"
 
@@ -590,19 +591,7 @@ TEST(TraceJson, ViolationYieldsStructuredSteps)
     // Sabotage MSI exactly as test_checker_flat does: S + Inv stays
     // in S with data, so SWMR/data-value trips with a trace.
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId inv = p.msgs.find("Inv", Level::Lower);
-    StateId s = p.cache.findState("S");
-    auto *alts =
-        p.cache.transitionsForMutable(s, EventKey::mkMsg(inv));
-    ASSERT_NE(alts, nullptr);
-    alts->front().next = s;
-    auto &ops = alts->front().ops;
-    ops.erase(std::remove_if(ops.begin(), ops.end(),
-                             [](const Op &op) {
-                                 return op.code ==
-                                        OpCode::InvalidateLine;
-                             }),
-              ops.end());
+    seeded::dropInvalidation(p.cache, p.msgs, Level::Lower);
 
     for (unsigned threads : {1u, 2u}) {
         verif::CheckOptions o;

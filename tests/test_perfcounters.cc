@@ -160,9 +160,11 @@ runQueueWaitNs()
 // The phase breakdown is a partition of one worker's time: whole
 // expansions fit inside the run, and encode + canonicalize + insert,
 // sections of an expansion, fit inside the expansions. MSI/MSI
-// non-stalling 1H+2L (~48k states) reads expand ~90% of the run and
-// the sections ~65% of expand; an attribution that times the sections
-// inside the sampled spans reads expand ~113% of the run. A sampled
+// non-stalling 1H+2L (~49k states) reads expand ~90% of the run and
+// the sections ~75% of expand; an attribution that times the sections
+// inside the sampled spans reads expand ~113% of the run, and one that
+// samples table growth with the rest reads the sections over 100% of
+// expand whenever a late rehash lands in a sampled insert. A sampled
 // span the scheduler preempts is scaled up 8x with it, so the check
 // only counts a run that waited on a run queue for under 1% of its
 // wall time, and skips when the host is too busy to give one.

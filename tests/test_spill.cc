@@ -23,7 +23,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -32,6 +31,7 @@
 #include "api/hieragen.hh"
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "seeded_bugs.hh"
 #include "util/fileio.hh"
 #include "verif/checker.hh"
 #include "verif/checkpoint.hh"
@@ -464,22 +464,7 @@ Protocol
 sabotagedMsi()
 {
     Protocol p = protocols::builtinProtocol("MSI");
-    MsgTypeId inv = p.msgs.find("Inv", Level::Lower);
-    StateId s = p.cache.findState("S");
-    auto *alts =
-        p.cache.transitionsForMutable(s, EventKey::mkMsg(inv));
-    if (alts == nullptr) {
-        ADD_FAILURE() << "MSI sabotage target missing";
-        return p;
-    }
-    alts->front().next = s;
-    auto &ops = alts->front().ops;
-    ops.erase(std::remove_if(ops.begin(), ops.end(),
-                             [](const Op &op) {
-                                 return op.code ==
-                                        OpCode::InvalidateLine;
-                             }),
-              ops.end());
+    seeded::dropInvalidation(p.cache, p.msgs, Level::Lower);
     return p;
 }
 

@@ -185,6 +185,25 @@ TEST(StateTable, ReserveAvoidsRehash)
     EXPECT_GT(t.memoryBytes(), t.payloadBytes());
 }
 
+TEST(StateTable, GrowthTimeAdvancesOnlyWhenSlotsGrow)
+{
+    // The checker's phase breakdown reads growNs() around each insert
+    // to time growth exactly, so it must move on growth and only then.
+    StateTable t(StateTable::Mode::Hashes);
+    EXPECT_EQ(t.growNs(), 0u);
+    uint64_t lastNs = 0, lastCap = 0;
+    for (uint64_t i = 1; i <= 100000; ++i) {
+        t.insertHash(i * 0x9E3779B97F4A7C15ull);
+        if (t.capacity() == lastCap) {
+            EXPECT_EQ(t.growNs(), lastNs) << i;
+        }
+        lastNs = t.growNs();
+        lastCap = t.capacity();
+    }
+    EXPECT_GT(t.rehashes(), 0u);
+    EXPECT_GT(t.growNs(), 0u);
+}
+
 // ---------------------------------------------------------------
 // Checkpoint format: v2 round-trip and v1 refusal.
 
