@@ -304,7 +304,7 @@ runMicro()
     {
         util::Stopwatch t0;
         for (uint64_t i = 0; i < kEncIters; ++i)
-            st.encodeTo(sys, packed, esc);
+            st.encodeTo(sys, packed);
         std::cout << "  encodeTo (packed):       " << std::fixed
                   << std::setprecision(1) << nsPerOp(kEncIters, t0)
                   << " ns/op, " << packed.size() << " bytes ("

@@ -1,5 +1,6 @@
 #include "fsm/exec.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 
@@ -295,20 +296,104 @@ execOp(const NodeCtx &node, const MsgTypeTable &msgs, BlockState &blk,
 
 } // namespace
 
+DispatchTable::DispatchTable(const Machine &m, size_t num_msg_types)
+    : numMsgTypes_(num_msg_types), msgCol_(num_msg_types * 3, -1)
+{
+    // Columns in order of first appearance in the machine's table.
+    auto colOf = [&](const EventKey &ev) -> int32_t & {
+        if (ev.kind == EventKey::Kind::Access)
+            return accessCol_[static_cast<size_t>(ev.access)];
+        HG_ASSERT(ev.type >= 0 &&
+                      static_cast<size_t>(ev.type) < num_msg_types,
+                  "machine ", m.name(), " has an event of unknown type");
+        return msgCol_[static_cast<size_t>(ev.type) * 3 +
+                       static_cast<size_t>(ev.epoch)];
+    };
+    // One walk of the map (its nodes are scattered over the heap),
+    // then a scatter from this flat copy once the width is known.
+    struct Entry
+    {
+        StateId state;
+        int32_t col;
+        const std::vector<Transition> *alts;
+    };
+    std::vector<Entry> entries;
+    entries.reserve(m.table().size());
+    for (const auto &[key, alts] : m.table()) {
+        const EventKey &ev = key.second;
+        int32_t &col = colOf(ev);
+        if (col < 0)
+            col = static_cast<int32_t>(numCols_++);
+        // A tagged cell without alternatives falls back exactly as a
+        // missing one does (below), so it is stored as missing.
+        const bool tagged = ev.kind == EventKey::Kind::Msg &&
+                            ev.epoch != FwdEpoch::None;
+        entries.push_back(
+            {key.first, col, tagged && alts.empty() ? nullptr : &alts});
+    }
+    cells_.assign(m.numStates() * numCols_, nullptr);
+    for (const Entry &e : entries) {
+        cells_[static_cast<size_t>(e.state) * numCols_ +
+               static_cast<size_t>(e.col)] = e.alts;
+    }
+    // Epoch fallback. A tagged event the machine never names takes
+    // the untagged column wholesale; a tagged cell with no
+    // alternatives takes the untagged cell of its state.
+    for (size_t t = 0; t < num_msg_types; ++t) {
+        const int32_t plain = msgCol_[t * 3];
+        for (size_t e = 1; e < 3; ++e) {
+            int32_t &tagged = msgCol_[t * 3 + e];
+            if (tagged < 0) {
+                tagged = plain;
+                continue;
+            }
+            for (size_t s = 0; s < m.numStates(); ++s) {
+                const std::vector<Transition> *&cell =
+                    cells_[s * numCols_ + static_cast<size_t>(tagged)];
+                if (!cell) {
+                    cell = plain < 0
+                               ? nullptr
+                               : cells_[s * numCols_ +
+                                        static_cast<size_t>(plain)];
+                }
+            }
+        }
+    }
+    stable_.resize(m.numStates());
+    for (size_t s = 0; s < m.numStates(); ++s)
+        stable_[s] = m.state(static_cast<StateId>(s)).stable;
+}
+
+std::vector<std::shared_ptr<const DispatchTable>>
+compileDispatch(std::vector<NodeCtx> &nodes, const MsgTypeTable &msgs)
+{
+    std::vector<std::shared_ptr<const DispatchTable>> tables;
+    std::vector<const Machine *> compiled;  // parallel to tables
+    for (NodeCtx &n : nodes) {
+        size_t i = static_cast<size_t>(
+            std::find(compiled.begin(), compiled.end(), n.machine) -
+            compiled.begin());
+        if (i == compiled.size()) {
+            compiled.push_back(n.machine);
+            tables.push_back(
+                std::make_shared<DispatchTable>(*n.machine, msgs.size()));
+        }
+        n.dispatch = tables[i].get();
+    }
+    return tables;
+}
+
 StepResult
 deliverEvent(const NodeCtx &node, const MsgTypeTable &msgs,
              BlockState &blk, const EventKey &event, const Msg *msg,
              ExecEnv &env, bool mark_reached)
 {
     const Machine &m = *node.machine;
-    const auto *alts = m.transitionsFor(blk.state, event);
-    // Epoch-tagged forwards fall back to the untagged handler: stable
-    // states (and unambiguous transients) handle both epochs alike.
-    if ((!alts || alts->empty()) && event.epoch != FwdEpoch::None) {
-        EventKey plain = event;
-        plain.epoch = FwdEpoch::None;
-        alts = m.transitionsFor(blk.state, plain);
-    }
+    const DispatchTable &table = *node.dispatch;
+    // Epoch-tagged forwards fall back to the untagged handler (stable
+    // states and unambiguous transients handle both epochs alike);
+    // the table resolved that fallback when it was built.
+    const auto *alts = table.find(blk.state, event);
     if (!alts || alts->empty()) {
         env.error("machine " + m.name() + " node " +
                   std::to_string(node.id) + ": unexpected event " +
@@ -352,7 +437,7 @@ deliverEvent(const NodeCtx &node, const MsgTypeTable &msgs,
         blk.state = chosen->next;
 
     // Transaction done: returning to a stable state clears the TBE.
-    if (m.state(blk.state).stable)
+    if (table.stable(blk.state))
         blk.tbe.reset();
     return StepResult::Executed;
 }

@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "fsm/machine.hh"
 #include "fsm/msg.hh"
@@ -64,11 +66,64 @@ struct BlockState
     bool operator==(const BlockState &other) const = default;
 };
 
+/**
+ * A Machine's transitions compiled for execution: a dense, immutable
+ * (state x event) -> alternatives table. Columns number only the
+ * events the machine has; a per-machine map turns an event key into
+ * its column. Cells point at the machine's own alternative lists, so
+ * census marks set through a cell land on the machine. The
+ * epoch-tagged forward fallback (a tagged event with no alternatives
+ * in a state takes the untagged handler) is resolved when the table
+ * is built, so a lookup is two array reads.
+ *
+ * The table holds pointers into the machine: it must not outlive the
+ * machine, and the machine's transitions must not change after it is
+ * built.
+ */
+class DispatchTable
+{
+  public:
+    DispatchTable(const Machine &m, size_t num_msg_types);
+
+    /** The alternatives for (@p state, @p event) after the epoch
+     *  fallback; null when the machine has no entry. A non-null list
+     *  may be empty (an entry with no alternatives). */
+    const std::vector<Transition> *
+    find(StateId state, const EventKey &event) const
+    {
+        int32_t col = -1;
+        if (event.kind == EventKey::Kind::Access) {
+            col = accessCol_[static_cast<size_t>(event.access)];
+        } else if (event.type >= 0 &&
+                   static_cast<size_t>(event.type) < numMsgTypes_) {
+            col = msgCol_[static_cast<size_t>(event.type) * 3 +
+                          static_cast<size_t>(event.epoch)];
+        }
+        if (col < 0)
+            return nullptr;
+        return cells_[static_cast<size_t>(state) * numCols_ +
+                      static_cast<size_t>(col)];
+    }
+
+    /** Is @p state a stable state of the machine? */
+    bool stable(StateId state) const { return stable_[state] != 0; }
+
+  private:
+    size_t numMsgTypes_ = 0;
+    size_t numCols_ = 0;
+    int32_t accessCol_[3] = {-1, -1, -1};
+    std::vector<int32_t> msgCol_;  ///< (type * 3 + epoch) -> column
+    std::vector<const std::vector<Transition> *> cells_;
+    std::vector<uint8_t> stable_;
+};
+
 /** Static description of one controller instance in a system. */
 struct NodeCtx
 {
     NodeId id = kNoNode;
     const Machine *machine = nullptr;
+    /** machine's compiled transitions (see compileDispatch). */
+    const DispatchTable *dispatch = nullptr;
     NodeId parent = kNoNode;   ///< this node's directory
     bool leafCache = false;    ///< counted in SWMR / data-value checks
     Level level = Level::Lower;
@@ -97,6 +152,15 @@ class ExecEnv
     virtual void error(const std::string &what) = 0;
 };
 
+/**
+ * Compile one DispatchTable per distinct machine among @p nodes and
+ * point each node's dispatch at its machine's table. The returned
+ * tables own what the nodes point at; holders of the nodes keep them
+ * alive (they are immutable, so copies of a node set may share them).
+ */
+std::vector<std::shared_ptr<const DispatchTable>>
+compileDispatch(std::vector<NodeCtx> &nodes, const MsgTypeTable &msgs);
+
 /** Outcome of delivering one event to a controller. */
 enum class StepResult : uint8_t {
     Executed,  ///< a transition fired
@@ -108,8 +172,9 @@ enum class StepResult : uint8_t {
 bool evalGuard(Guard g, const BlockState &blk, const Msg *msg);
 
 /**
- * Deliver one event (a message or a core access) to a controller.
- * On Executed, @p blk is updated in place and sends/commits have been
+ * Deliver one event (a message or a core access) to a controller,
+ * looking the event up in @p node's dispatch table (which must be
+ * set). On Executed, @p blk is updated in place and sends/commits have been
  * routed through @p env. @p mark_reached drives the Section V-E
  * reachability census.
  */

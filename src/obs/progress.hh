@@ -81,8 +81,8 @@ struct ProgressStats
 {
     double statesPerSec = 0.0;  ///< over the sampling interval
     double dedupHitRate = 0.0;  ///< cumulative, of generated states
-    /** Estimated share of total worker time spent in the symmetry
-     *  orbit walk (excludes the baseline encode; see
+    /** Estimated share of total worker time spent searching for
+     *  symmetry representatives (excludes packing; see
      *  ProgressSample::symSampledNs). */
     double symTimeShare = 0.0;
     double etaSec = -1.0;       ///< to maxStates at current rate

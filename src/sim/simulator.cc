@@ -44,6 +44,7 @@ class Engine : public hieragen::ExecEnv
     Engine(const MsgTypeTable &msgs, std::vector<NodeCtx> nodes,
            std::vector<std::string> names, const SimConfig &cfg)
         : msgs_(msgs), nodes_(std::move(nodes)),
+          dispatch_(compileDispatch(nodes_, msgs)),
           names_(std::move(names)), cfg_(cfg)
     {
         cores_.resize(nodes_.size());
@@ -178,6 +179,7 @@ class Engine : public hieragen::ExecEnv
 
     const MsgTypeTable &msgs_;
     std::vector<NodeCtx> nodes_;
+    std::vector<std::shared_ptr<const DispatchTable>> dispatch_;
     std::vector<std::string> names_;
     SimConfig cfg_;
     SimStats stats_;
@@ -383,7 +385,7 @@ class Engine : public hieragen::ExecEnv
         const Machine &m = *nodes_[n].machine;
         BlockState &b = blk(n, addr);
         EventKey ev = EventKey::mkAccess(access);
-        if (!m.hasTransition(b.state, ev))
+        if (!nodes_[n].dispatch->find(b.state, ev))
             return;  // e.g. evict from I
         ++stats_.accesses;
         switch (access) {

@@ -17,6 +17,7 @@
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/fileio.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/stopwatch.hh"
 #include "verif/checkpoint.hh"
@@ -67,24 +68,6 @@ CheckResult::traceJson() const
 
 namespace
 {
-
-/** FNV-1a over the encoded state, mixed with the compaction seed. */
-uint64_t
-hashState(const char *data, size_t len, uint64_t seed)
-{
-    uint64_t h = 14695981039346656037ull ^ seed;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-uint64_t
-hashState(const std::string &enc, uint64_t seed)
-{
-    return hashState(enc.data(), enc.size(), seed);
-}
 
 /** Directory half of @p path ("." when it has no separator) — where
  *  a resumed checkpoint's spill segments already live. */
@@ -1009,7 +992,7 @@ class Engine
         stagePending(ws, Step{});
         PendingSucc &p = ws.pend[0];
         insertVisited(ws, p.hash, p.enc);
-        if (auto v = findViolation(sys_, p.st))
+        if (auto v = violationOf(p.st))
             reportError(v->kind, v->detail, kNoNode, Step{});
         if (tracing_)
             log_.push_back({});
@@ -1468,7 +1451,7 @@ class Engine
             shards_[i].store.forEachHotExact(
                 [&](const char *data, uint32_t len) {
                     uint64_t h =
-                        hashState(data, len, opts_.compactionSeed);
+                        util::hash64(data, len, opts_.compactionSeed);
                     hashed[h & (shardCount_ - 1)].insertHash(h);
                 });
         }
@@ -1626,7 +1609,7 @@ class Engine
             bytes = n * 8;
         } else {
             for (const std::string &enc : d.visitedExact) {
-                uint64_t h = hashState(enc, 0);
+                uint64_t h = util::hash64(enc.data(), enc.size());
                 if (shardOf(h).store.insert(
                         h, enc.data(),
                         static_cast<uint32_t>(enc.size()))) {
@@ -1642,10 +1625,9 @@ class Engine
         // counterexample starts at the resume point. Restore order
         // (head pushes, segment adoption, tail pushes) rebuilds the
         // exact FIFO the snapshot recorded.
-        EncodeScratch esc;
         std::string enc;
         auto pushState = [&](const SysState &st) {
-            st.encodeTo(sys_, enc, esc);
+            st.encodeTo(sys_, enc);
             fqueue_.push(enc.data(), static_cast<uint32_t>(enc.size()));
         };
         for (size_t i = 0; i < d.frontier.size(); ++i) {
@@ -1671,9 +1653,10 @@ class Engine
     /**
      * The counterexample of error_, rebuilt by replay: walk the log
      * from the error's node back to its root, then re-execute each
-     * step from the root state, canonicalizing as stagePending() does
-     * (census marks off). The trace keeps the last kMaxTraceNodes
-     * logged states, plus the violating successor when there is one.
+     * step from the root state, canonicalizing to the representative
+     * stagePending() encodes (census marks off). The trace keeps the
+     * last kMaxTraceNodes logged states, plus the violating successor
+     * when there is one.
      */
     void
     buildTrace()
@@ -1685,8 +1668,6 @@ class Engine
             path.push_back(log_[n]);
         if (path.empty())
             return;
-        EncodeScratch esc;
-        std::string enc;
         SysState cur;
         const Step root = path.back().step;
         if (root.kind == Step::Kind::Resumed) {
@@ -1694,7 +1675,7 @@ class Engine
         } else {
             cur = initialState(sys_, opts_.accessBudget);
             if (symmetry_)
-                cur.encodeCanonicalTo(sys_, enc, esc);
+                cur.canonicalize(sys_);
         }
         size_t skip = path.size() - (error_.step ? 1 : 0);
         skip = skip > kMaxTraceNodes ? skip - kMaxTraceNodes : 0;
@@ -1705,7 +1686,7 @@ class Engine
                 StateEnv env;
                 applyStep(sys_, cur, path[i].step, next, env, false);
                 if (symmetry_)
-                    next.encodeCanonicalTo(sys_, enc, esc);
+                    next.canonicalize(sys_);
                 cur = std::move(next);
             }
             if (skip) {
@@ -1720,11 +1701,11 @@ class Engine
         }
     }
 
-    /** Canonicalize (under symmetry reduction) and encode @p st into
-     *  @p out, with the sampled timing the telemetry symmetry share
-     *  and the phase breakdown both draw from. */
+    /** Encode @p st into @p out — under symmetry reduction, its orbit
+     *  representative — with the sampled timing the telemetry
+     *  symmetry share and the phase breakdown both draw from. */
     void
-    encodeState(SysState &st, std::string &out, WorkerCtx &ws)
+    encodeState(const SysState &st, std::string &out, WorkerCtx &ws)
     {
         bool sym_sample = false;
         if (symmetry_ && instr_.on()) {
@@ -1735,12 +1716,12 @@ class Engine
             if (symmetry_)
                 st.encodeCanonicalTo(sys_, out, ws.esc);
             else
-                st.encodeTo(sys_, out, ws.esc);
+                st.encodeTo(sys_, out);
             return;
         }
         // One timed call serves both samplers: the telemetry share
-        // takes the orbit walk only (the cost symmetry adds on top of
-        // the baseline encode), the phase breakdown both halves.
+        // takes the representative search only (the cost symmetry
+        // adds on top of packing), the phase breakdown both halves.
         obs::PerfCounts p0;
         if (ws.sampling && ws.perf)
             p0 = ws.perf->read();
@@ -1751,7 +1732,7 @@ class Engine
             ws.esc.timeSections = false;
         } else {
             ws.sw.restart();
-            st.encodeTo(sys_, out, ws.esc);
+            st.encodeTo(sys_, out);
             ws.esc.encodeNs = static_cast<uint64_t>(ws.sw.ns());
             ws.esc.orbitNs = 0;
         }
@@ -1831,8 +1812,8 @@ class Engine
         p.step = step;
         ++ws.generated;
         encodeState(p.st, p.enc, ws);
-        p.hash = hashState(p.enc,
-                           compaction_ ? opts_.compactionSeed : 0);
+        p.hash = util::hash64(p.enc.data(), p.enc.size(),
+                              compaction_ ? opts_.compactionSeed : 0);
         Shard &s = shardOf(p.hash);
         if (numThreads_ == 1)
             s.store.prefetch(p.hash);
@@ -1842,20 +1823,47 @@ class Engine
 #endif
     }
 
+    /**
+     * The invariant violation of @p st, if any. A verdict is the same
+     * on every image of a state, so the hot path asks it of the
+     * successor as executed; only a violation canonicalizes @p st in
+     * place, so the report names the nodes of the stored
+     * representative.
+     */
+    std::optional<Violation>
+    violationOf(SysState &st)
+    {
+        auto v = findViolation(sys_, st);
+        if (v && symmetry_) {
+            st.canonicalize(sys_);
+            v = findViolation(sys_, st);
+        }
+        return v;
+    }
+
     /** Stage 2: probe/insert every staged successor in generation
-     *  order; fresh ones are invariant-checked (on the canonical form
-     *  encodeState left in place) and buffered. Returns false when a
-     *  violation was reported — the remaining staged states are
-     *  dropped, as an unbatched loop would have stopped there. */
+     *  order; fresh ones are invariant-checked and buffered. Returns
+     *  false when a violation was reported — the remaining staged
+     *  states are dropped, as an unbatched loop would have stopped
+     *  there. */
     bool
     flushPending(const Item &parent, WorkerCtx &ws)
     {
+        // Stage 1 prefetched each probe group; now that they have
+        // landed, prefetch the encodings their fingerprints match, so
+        // the inserts' confirming compares overlap. A lone worker
+        // only, as in stagePending().
+        if (numThreads_ == 1 && !compaction_) {
+            for (size_t pi = 0; pi < ws.pendCount; ++pi)
+                shardOf(ws.pend[pi].hash).store.prefetchMatch(
+                    ws.pend[pi].hash);
+        }
         bool clean = true;
         for (size_t pi = 0; pi < ws.pendCount && clean; ++pi) {
             PendingSucc &p = ws.pend[pi];
             if (!insertVisited(ws, p.hash, p.enc))
                 continue;
-            if (auto v = findViolation(sys_, p.st)) {
+            if (auto v = violationOf(p.st)) {
                 reportError(v->kind, v->detail, parent.node, p.step);
                 clean = false;
                 break;
@@ -1947,11 +1955,11 @@ class Engine
                 if (cur.budget[li] == 0)
                     continue;
                 NodeId c = sys_.leafCaches[li];
-                const Machine &m = *sys_.nodes[c].machine;
+                const DispatchTable &table = *sys_.nodes[c].dispatch;
                 for (Access a : {Access::Load, Access::Store,
                                  Access::Evict}) {
-                    if (!m.hasTransition(cur.blocks[c].state,
-                                         EventKey::mkAccess(a))) {
+                    if (!table.find(cur.blocks[c].state,
+                                    EventKey::mkAccess(a))) {
                         continue;
                     }
                     const Step step{Step::Kind::Access, a,

@@ -307,9 +307,9 @@ struct CheckResult
      * workers, so with several they add up to worker time, not wall
      * time. Semantics: `expandMs` covers whole state expansions
      * including successor generation, encoding and dedup;
-     * `encodeMs` covers the baseline bit-pack encode of each
-     * successor (nonzero in every mode); `canonicalizeMs` covers the
-     * symmetry orbit walk on top of it (zero with reduction off);
+     * `encodeMs` covers bit-packing each successor's stored image
+     * (nonzero in every mode); `canonicalizeMs` covers the search
+     * for its orbit representative (zero with reduction off);
      * `insertMs` covers the visited-table probe/insert. All values
      * are scaled up from a 1-in-8 sample, so they are estimates good
      * to a few percent, not exact sums; the one exception is

@@ -176,7 +176,10 @@ uint64_t
 optionsFingerprint(const CheckOptions &opts)
 {
     Mixer m;
-    m.mix(static_cast<uint64_t>(kCheckpointFormatVersion));
+    // The format version this fingerprint was defined under. Later
+    // formats are refused by the reader's version check, so the
+    // value — also a journal's run identity — stays put across them.
+    m.mix(uint64_t{3});
     m.mix(static_cast<uint64_t>(opts.atomicTransactions));
     m.mix(static_cast<uint64_t>(
         static_cast<int64_t>(opts.accessBudget)));
@@ -286,7 +289,6 @@ restoreCensus(const System &sys, const CheckpointData &data)
 CheckpointWriter::CheckpointWriter(std::string path)
     : path_(std::move(path))
 {
-    checksum_ = 14695981039346656037ull;
     buf_.reserve(kFlushThreshold + 4096);
 }
 
@@ -321,7 +323,7 @@ CheckpointWriter::flushBuf()
 {
     if (buf_.empty())
         return;
-    checksum_ = util::fnv1a64(buf_.data(), buf_.size(), checksum_);
+    checksum_.update(buf_.data(), buf_.size());
     file_.append(buf_);  // failure latches inside the writer
     buf_.clear();
 }
@@ -439,7 +441,7 @@ CheckpointWriter::commit()
     if (!tailBegun_)
         beginFrontierTail(0);
     flushBuf();
-    put64(checksum_);
+    put64(checksum_.digest());
     // The trailer bypasses the checksum accumulator by construction:
     // flush the staged trailer bytes straight to the file.
     file_.append(buf_);
@@ -480,6 +482,21 @@ CheckpointReader::read(const std::string &path, CheckpointData &out)
         io.error = "'" + path + "' is not a hieragen checkpoint";
         return io;
     }
+    // The version comes before the seal: how a checkpoint is sealed
+    // depends on its version, so an older one must be refused by
+    // name, not as corrupt.
+    uint32_t version = 0;
+    for (int i = 3; i >= 0; --i) {
+        version = (version << 8) |
+                  static_cast<uint8_t>(raw[sizeof(kMagic) +
+                                           static_cast<size_t>(i)]);
+    }
+    if (version != kCheckpointFormatVersion) {
+        io.error = "checkpoint '" + path + "' has format version " +
+                   std::to_string(version) + "; this build reads " +
+                   std::to_string(kCheckpointFormatVersion);
+        return io;
+    }
     // The trailer is written little-endian byte by byte; reassemble
     // portably rather than trusting host endianness.
     uint64_t sum_le = 0;
@@ -488,25 +505,16 @@ CheckpointReader::read(const std::string &path, CheckpointData &out)
                  static_cast<uint8_t>(raw[raw.size() - 8 +
                                           static_cast<size_t>(i)]);
     }
-    uint64_t actual =
-        util::fnv1a64(raw.data(), raw.size() - 8);
-    if (actual != sum_le) {
+    if (util::hash64(raw.data(), raw.size() - 8) != sum_le) {
         io.error = "checkpoint '" + path +
                    "' fails its checksum (truncated or corrupted)";
         return io;
     }
 
     Cursor c(raw, raw.size() - 8);
-    c.need(sizeof(kMagic));
     char magic[sizeof(kMagic)];
     c.getBytes(magic, sizeof(kMagic));
-    uint32_t version = c.get32();
-    if (version != kCheckpointFormatVersion) {
-        io.error = "checkpoint '" + path + "' has format version " +
-                   std::to_string(version) + "; this build reads " +
-                   std::to_string(kCheckpointFormatVersion);
-        return io;
-    }
+    c.get32();  // the version, checked above
     out.header.optionsFingerprint = c.get64();
     out.header.systemHash = c.get64();
     out.header.storedAsHashes = c.get8() != 0;

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "util/fileio.hh"
+#include "util/hash.hh"
 #include "verif/checker.hh"
 #include "verif/statestore.hh"
 #include "verif/system.hh"
@@ -70,8 +71,13 @@ namespace hieragen::verif
  *        referenced by (path, checksum), not copied, so checkpoint
  *        cost stays proportional to the in-memory tiers. v1/v2
  *        snapshots are refused on read.
+ *   v4 — the container layout is unchanged, but visited-exact
+ *        fingerprints, stored representatives and the trailing seal
+ *        all use util::hash64 (and the canonical representative is
+ *        the least image in field order), so no byte of a v3 state
+ *        section is valid here: v3 snapshots are refused on read.
  */
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 /** Fixed-size leading section of a checkpoint. */
 struct CheckpointHeader
@@ -189,7 +195,7 @@ class CheckpointWriter
     std::string path_;
     util::AtomicFileWriter file_;
     std::string buf_;
-    uint64_t checksum_;
+    util::Hasher64 checksum_;
     bool opened_ = false;
     bool spillSectionsWritten_ = false;
     bool tailBegun_ = false;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "util/fileio.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace hieragen::verif
@@ -20,11 +21,13 @@ namespace
 
 constexpr char kVisitedMagic[8] = {'H', 'G', 'S', 'P', 'I', 'L', 'L', '1'};
 constexpr char kFrontierMagic[8] = {'H', 'G', 'S', 'P', 'I', 'L', 'L', 'Q'};
-// Visited segments: payload encodings, then the sorted index.
-// Frontier segments v2: u32 length + packed record, per record (v1
-// held serialized SysStates and is refused).
-constexpr uint32_t kVisitedVersion = 1;
-constexpr uint32_t kFrontierVersion = 2;
+// Visited segments: payload encodings, then the sorted index (v2:
+// util::hash64 fingerprints and seal; v1 used FNV-1a and is refused).
+// Frontier segments: u32 length + packed record, per record (v3:
+// util::hash64 seal; v2 was FNV-1a-sealed and v1 held serialized
+// SysStates, both refused).
+constexpr uint32_t kVisitedVersion = 2;
+constexpr uint32_t kFrontierVersion = 3;
 constexpr size_t kHeaderBytes = 28;  // magic + version + count + payload
 constexpr size_t kIndexRecordBytes = 16;
 constexpr size_t kScanBlock = size_t{1} << 20;  ///< adoption read size
@@ -101,7 +104,7 @@ class SegmentWriter
     seal(uint64_t *checksum, uint64_t *bytes, std::string *err)
     {
         flush();
-        uint64_t sum = checksum_;
+        uint64_t sum = checksum_.digest();
         char t[8];
         for (int i = 0; i < 8; ++i)
             t[i] = static_cast<char>(sum >> (8 * i));
@@ -128,14 +131,14 @@ class SegmentWriter
     {
         if (buf_.empty())
             return;
-        checksum_ = util::fnv1a64(buf_.data(), buf_.size(), checksum_);
+        checksum_.update(buf_.data(), buf_.size());
         file_.append(buf_);  // failure latches inside the writer
         buf_.clear();
     }
 
     util::AtomicFileWriter file_;
     std::string buf_;
-    uint64_t checksum_ = 14695981039346656037ull;
+    util::Hasher64 checksum_;
 };
 
 /** Next free "<dir>/<prefix>-NNNNNN.seg": probes with stat so resumed
@@ -156,9 +159,9 @@ makeSegmentPath(const std::string &dir, const std::string &prefix,
     }
 }
 
-/** Check a segment's size, checksum, magic, version and header
+/** Check a segment's size, magic, version, checksum and header
  *  counts against its ref. @p header is the first kHeaderBytes of
- *  the file, @p sum the FNV-1a of everything before the trailer. On
+ *  the file, @p sum the hash64 of everything before the trailer. On
  *  success fills @p count / @p payloadBytes. */
 bool
 checkSegment(const SpillSegmentRef &ref, uint64_t size,
@@ -172,18 +175,20 @@ checkSegment(const SpillSegmentRef &ref, uint64_t size,
                std::to_string(ref.bytes);
         return false;
     }
-    if (trailer != sum || trailer != ref.checksum) {
-        *err = "spill segment '" + ref.path +
-               "' fails its checksum (truncated or corrupted)";
-        return false;
-    }
     if (std::memcmp(header, magic, 8) != 0) {
         *err = "'" + ref.path + "' is not a hieragen spill segment";
         return false;
     }
+    // The version comes before the seal, which depends on it.
     if (le32At(header + 8) != version) {
+        *err = "spill segment '" + ref.path + "' has format version " +
+               std::to_string(le32At(header + 8)) +
+               "; this build reads " + std::to_string(version);
+        return false;
+    }
+    if (trailer != sum || trailer != ref.checksum) {
         *err = "spill segment '" + ref.path +
-               "' has an unsupported format version";
+               "' fails its checksum (truncated or corrupted)";
         return false;
     }
     *count = le64At(header + 12);
@@ -208,7 +213,7 @@ checkSegmentImage(const std::string &raw, const SpillSegmentRef &ref,
         return checkSegment(ref, raw.size(), nullptr, 0, 0, magic,
                             version, count, payloadBytes, err);
     return checkSegment(ref, raw.size(), raw.data(),
-                        util::fnv1a64(raw.data(), raw.size() - 8),
+                        util::hash64(raw.data(), raw.size() - 8),
                         le64At(raw.data() + raw.size() - 8), magic,
                         version, count, payloadBytes, err);
 }
@@ -234,7 +239,8 @@ openCheckedSegment(const SpillSegmentRef &ref, const char (&magic)[8],
     }
     const uint64_t size = static_cast<uint64_t>(st.st_size);
     char header[kHeaderBytes] = {};
-    uint64_t sum = 14695981039346656037ull, trailer = 0;
+    util::Hasher64 sum;
+    uint64_t trailer = 0;
     if (size == ref.bytes && size >= kHeaderBytes + 8) {
         std::vector<char> block(kScanBlock);
         for (uint64_t off = 0, end = size - 8; off < end;) {
@@ -249,8 +255,7 @@ openCheckedSegment(const SpillSegmentRef &ref, const char (&magic)[8],
             }
             if (off == 0 && static_cast<size_t>(got) >= kHeaderBytes)
                 std::memcpy(header, block.data(), kHeaderBytes);
-            sum = util::fnv1a64(block.data(), static_cast<size_t>(got),
-                                sum);
+            sum.update(block.data(), static_cast<size_t>(got));
             off += static_cast<uint64_t>(got);
         }
         char t[8];
@@ -261,8 +266,8 @@ openCheckedSegment(const SpillSegmentRef &ref, const char (&magic)[8],
         }
         trailer = le64At(t);
     }
-    if (!checkSegment(ref, size, header, sum, trailer, magic, version,
-                      count, payloadBytes, err)) {
+    if (!checkSegment(ref, size, header, sum.digest(), trailer, magic,
+                      version, count, payloadBytes, err)) {
         ::close(fd);
         return -1;
     }

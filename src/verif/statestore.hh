@@ -231,6 +231,7 @@ class StateStore
 
     void reserve(uint64_t expected) { hot_.reserve(expected); }
     void prefetch(uint64_t fp) const { hot_.prefetch(fp); }
+    void prefetchMatch(uint64_t fp) const { hot_.prefetchMatch(fp); }
 
     /** Hot-tier entries (the engine adds the shared tier's states()
      *  to get the full visited cardinality). */

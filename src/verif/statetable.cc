@@ -160,6 +160,29 @@ StateTable::reserve(uint64_t expected)
         grow(need);
 }
 
+void
+StateTable::prefetchMatch(uint64_t fp) const
+{
+    if (fps_.empty() || mode_ != Mode::Exact)
+        return;
+    if (fp == 0)
+        fp = 1;  // mirror insert()'s empty-sentinel remap
+    const size_t i = startIndex(fp);
+    const size_t base = i & ~size_t{7};
+    unsigned empty;
+    const unsigned eq =
+        matchMask8(fps_.data() + base, fp, empty) & (~0u << (i & 7));
+#if defined(__GNUC__) || defined(__clang__)
+    if (eq) {
+        const uint64_t ref = refs_[base + static_cast<unsigned>(
+                                              std::countr_zero(eq))];
+        __builtin_prefetch(arena_.at(ref >> 16), 0, 1);
+    }
+#else
+    (void)eq;
+#endif
+}
+
 bool
 StateTable::insert(uint64_t fp, const char *data, uint32_t len)
 {

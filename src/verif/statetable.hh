@@ -146,6 +146,15 @@ class StateTable
 #endif
     }
 
+    /**
+     * Second-stage hint, for a fingerprint whose prefetch() has had
+     * time to land: if @p fp's first probe group holds a matching
+     * fingerprint, prefetch that entry's arena bytes, which the
+     * insert's confirming memcmp will read. Exact mode only (a no-op
+     * otherwise); same safety contract as prefetch().
+     */
+    void prefetchMatch(uint64_t fp) const;
+
     uint64_t size() const { return size_; }
     uint64_t capacity() const { return fps_.size(); }
     uint64_t rehashes() const { return rehashes_; }

@@ -35,13 +35,16 @@ finalizeEncoding(System &sys)
     sys.enc.typeBits =
         static_cast<uint8_t>(std::bit_width(sys.msgs->size()));
     sys.enc.sharerBits = static_cast<uint8_t>(sys.nodes.size());
-    // Zero-message upper bound, rounded up to whole bytes: per block
-    // state + 2 flag bits + 5 byte-wide fields + TBE node refs +
-    // sharers + owner, then budgets and the ghost byte.
-    uint64_t blockBits = sys.enc.stateBits + 2 + 5 * 8 +
-                         3 * sys.enc.nodeBits + sys.enc.sharerBits;
-    uint64_t bits =
-        blockBits * sys.nodes.size() + 8 * sys.leafCaches.size() + 8;
+    // The bit writer and reader move a field group of at most 57
+    // bits at a time.
+    HG_ASSERT(sys.enc.blockBitsA() <= 57 && sys.enc.blockBitsB() <= 57 &&
+                  sys.enc.msgBits() <= 57,
+              "system too large for the packed encoding");
+    // Zero-message size, rounded up to whole bytes: the blocks, then
+    // budgets and the ghost byte.
+    uint64_t bits = uint64_t{sys.enc.blockBitsA() + sys.enc.blockBitsB()} *
+                        sys.nodes.size() +
+                    8 * sys.leafCaches.size() + 8;
     sys.enc.maxBytes = static_cast<uint32_t>((bits + 7) / 8);
 }
 
@@ -80,18 +83,24 @@ enumerateSymPerms(System &sys)
             for (size_t k = 0; k < cls.size(); ++k)
                 perm[static_cast<size_t>(cls[k])] = arrangement[ci][k];
         }
+        std::vector<NodeId> inv(perm.size());
+        for (size_t i = 0; i < perm.size(); ++i)
+            inv[static_cast<size_t>(perm[i])] = static_cast<NodeId>(i);
         sys.symPerms.push_back(perm);
+        sys.symPermsInv.push_back(std::move(inv));
     }
 }
 
-/** Fill in leafIndex and register one symmetry class per group of
- *  >= 2 interchangeable nodes (all members share one Machine and one
- *  parent by construction of the builders), then derive the packed
- *  encoding layout and precompute the symmetry group. */
+/** Compile the nodes' transition tables, fill in leafIndex, register
+ *  one symmetry class per group of >= 2 interchangeable nodes (all
+ *  members share one Machine and one parent by construction of the
+ *  builders), then derive the packed encoding layout and precompute
+ *  the symmetry group. */
 void
 finalizeSymmetry(System &sys,
                  std::initializer_list<std::pair<NodeId, NodeId>> groups)
 {
+    sys.dispatch = compileDispatch(sys.nodes, *sys.msgs);
     sys.leafIndex.assign(sys.nodes.size(), -1);
     for (size_t li = 0; li < sys.leafCaches.size(); ++li)
         sys.leafIndex[sys.leafCaches[li]] = static_cast<int32_t>(li);
@@ -99,60 +108,14 @@ finalizeSymmetry(System &sys,
         if (last - first + 1 < 2)
             continue;
         std::vector<NodeId> cls;
-        for (NodeId n = first; n <= last; ++n)
+        for (NodeId n = first; n <= last; ++n) {
             cls.push_back(n);
+            sys.symMembers.push_back(n);
+        }
         sys.symClasses.push_back(std::move(cls));
     }
     finalizeEncoding(sys);
     enumerateSymPerms(sys);
-}
-
-/**
- * Canonical FIFO rank within each (src, dst) channel: the raw seq
- * depends on send history and would break deduplication, so the
- * encodings store the channel-relative rank instead. Counting beats
- * sorting at realistic in-flight message counts (a handful per
- * state), so the quadratic pass is the fast path; the sort handles
- * pathologically deep networks.
- */
-void
-computeRanks(const std::vector<Msg> &msgs, std::vector<uint32_t> &order,
-             std::vector<uint8_t> &ranks)
-{
-    const size_t nm = msgs.size();
-    ranks.resize(nm);
-    if (nm <= 24) {
-        for (size_t i = 0; i < nm; ++i) {
-            const Msg &m = msgs[i];
-            uint8_t rank = 0;
-            for (size_t j = 0; j < nm; ++j) {
-                const Msg &o = msgs[j];
-                rank += o.src == m.src && o.dst == m.dst &&
-                        o.seq < m.seq;
-            }
-            ranks[i] = rank;
-        }
-        return;
-    }
-    order.resize(nm);
-    for (uint32_t i = 0; i < nm; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        const Msg &x = msgs[a];
-        const Msg &y = msgs[b];
-        return std::tie(x.src, x.dst, x.seq) <
-               std::tie(y.src, y.dst, y.seq);
-    });
-    for (size_t k = 0; k < nm; ++k) {
-        const Msg &m = msgs[order[k]];
-        uint8_t rank = 0;
-        if (k > 0) {
-            const Msg &prev = msgs[order[k - 1]];
-            if (prev.src == m.src && prev.dst == m.dst)
-                rank = static_cast<uint8_t>(ranks[order[k - 1]] + 1);
-        }
-        ranks[order[k]] = rank;
-    }
 }
 
 } // namespace
@@ -249,19 +212,19 @@ SysState::insertMsg(const Msg &m)
                std::tie(b.type, b.src, b.dst, b.requestor, b.epoch,
                         b.ackCount, b.hasData, b.data);
     };
-    // Single sweep: the FIFO position on the (src, dst) channel (one
-    // past the newest) and the sorted insertion point. cmp ignores
-    // seq, so the position is valid before seq is assigned.
-    int32_t max_seq = -1;
+    // Single sweep: the FIFO position on the (src, dst) channel (its
+    // message count, seqs being ranks) and the sorted insertion
+    // point. cmp ignores seq, so the position is valid before seq is
+    // assigned.
+    int32_t rank = 0;
     size_t pos = msgs.size();
     for (size_t i = 0; i < msgs.size(); ++i) {
         const Msg &other = msgs[i];
-        if (other.src == msg.src && other.dst == msg.dst)
-            max_seq = std::max(max_seq, other.seq);
+        rank += other.src == msg.src && other.dst == msg.dst;
         if (pos == msgs.size() && cmp(msg, other))
             pos = i;
     }
-    msg.seq = max_seq + 1;
+    msg.seq = rank;
     msgs.insert(msgs.begin() + static_cast<ptrdiff_t>(pos), msg);
 }
 
@@ -447,8 +410,40 @@ SysState::deserialize(const char *data, size_t size, size_t &pos,
     st.budget.resize(nbudget);
     std::memcpy(st.budget.data(), data + pos, nbudget);
     pos += nbudget;
+    st.normalizeSeqs();
     return ok;
 }
+
+void
+SysState::normalizeSeqs()
+{
+    // Rank by counting: a handful of messages are in flight per
+    // state, and this runs only where a state enters from outside.
+    std::vector<int32_t> ranks(msgs.size());
+    for (size_t i = 0; i < msgs.size(); ++i) {
+        const Msg &m = msgs[i];
+        for (const Msg &o : msgs)
+            ranks[i] += o.src == m.src && o.dst == m.dst && o.seq < m.seq;
+    }
+    for (size_t i = 0; i < msgs.size(); ++i)
+        msgs[i].seq = ranks[i];
+}
+
+namespace
+{
+
+/** The messages behind a removed one on its channel move up a rank. */
+void
+closeChannelGap(std::vector<Msg> &msgs, const Msg &removed)
+{
+    for (Msg &m : msgs) {
+        if (m.src == removed.src && m.dst == removed.dst &&
+            m.seq > removed.seq)
+            --m.seq;
+    }
+}
+
+} // namespace
 
 void
 SysState::removeMsg(size_t index)
@@ -456,8 +451,11 @@ SysState::removeMsg(size_t index)
     HG_ASSERT(index < msgs.size(), "removeMsg out of range");
     // Msg is trivially copyable, so the tail shift compiles down to
     // one memmove; the sorted-multiset invariant (cmp order, ties in
-    // seq order) is untouched by erasing an element.
+    // seq order) is untouched by erasing an element, and closing the
+    // channel's gap keeps every seq its rank.
+    const Msg removed = msgs[index];
     msgs.erase(msgs.begin() + static_cast<ptrdiff_t>(index));
+    closeChannelGap(msgs, removed);
 }
 
 void
@@ -478,6 +476,7 @@ SysState::assignWithoutMsg(const SysState &src, size_t index)
     msgs.resize(src.msgs.size() - 1);
     std::copy_n(s, index, msgs.data());
     std::copy(s + index + 1, s + src.msgs.size(), msgs.data() + index);
+    closeChannelGap(msgs, s[index]);
 }
 
 std::string
@@ -519,14 +518,7 @@ SysState::encodeTo(std::string &out) const
         put32(b.sharers);
         put8(static_cast<uint8_t>(b.owner + 1));
     }
-    // Scratch vectors are thread-local so parallel workers don't
-    // allocate per call.
-    static thread_local std::vector<uint32_t> order;
-    static thread_local std::vector<uint8_t> ranks;
-    computeRanks(msgs, order, ranks);
-    const size_t nm = msgs.size();
-    for (size_t i = 0; i < nm; ++i) {
-        const Msg &m = msgs[i];
+    for (const Msg &m : msgs) {
         put16(static_cast<uint16_t>(m.type + 1));
         put8(static_cast<uint8_t>(m.src + 1));
         put8(static_cast<uint8_t>(m.dst + 1));
@@ -535,7 +527,7 @@ SysState::encodeTo(std::string &out) const
         put8(static_cast<uint8_t>(m.ackCount + 64));
         put8(m.hasData);
         put8(m.data);
-        put8(ranks[i]);
+        put8(static_cast<uint8_t>(m.seq));  // the channel rank
     }
     for (uint8_t b : budget)
         put8(b);
@@ -547,112 +539,162 @@ namespace
 
 /** Little-endian bit accumulator writing straight into a pre-sized
  *  buffer (the caller guarantees capacity, so the hot path has no
- *  bounds checks), draining four bytes at a time. Safe for fields up
- *  to 32 bits: the residue never exceeds 31 bits before a put, so
- *  31 + 32 < 64 never overflows the accumulator. flush() may write
- *  up to 4 bytes of zero padding past the logical end — size the
- *  buffer with that slack. */
+ *  bounds checks), draining eight bytes at a time. A field is at most
+ *  57 bits wide (finalizeEncoding checks the merged field widths).
+ *  flush() writes up to 8 bytes of zero padding past the logical
+ *  end — size the buffer with that slack. */
 struct BitWriter
 {
     char *p;
     uint64_t acc = 0;
-    unsigned nbits = 0;
+    unsigned nbits = 0;  ///< bits held in acc, always < 64
 
     explicit BitWriter(char *dst) : p(dst) {}
 
     void
     put(uint64_t v, unsigned bits)
     {
-        acc |= (v & ((uint64_t{1} << bits) - 1)) << nbits;
+        v &= (uint64_t{1} << bits) - 1;
+        acc |= v << nbits;
         nbits += bits;
-        if (nbits >= 32) {
-            uint32_t word = static_cast<uint32_t>(acc);
-            std::memcpy(p, &word, 4);
-            p += 4;
-            acc >>= 32;
-            nbits -= 32;
+        if (nbits >= 64) {
+            std::memcpy(p, &acc, 8);
+            p += 8;
+            nbits -= 64;
+            // The bits of v that did not fit, if any.
+            acc = nbits ? v >> (bits - nbits) : 0;
         }
     }
 
     void
     flush()
     {
-        uint32_t word = static_cast<uint32_t>(acc);
-        std::memcpy(p, &word, 4);
+        std::memcpy(p, &acc, 8);
         p += (nbits + 7) / 8;
         acc = 0;
         nbits = 0;
     }
 };
 
-/** Packing body shared by encodeTo() and the orbit walk: emit the
- *  bit-packed encoding of @p st using precomputed per-message
- *  @p ranks (canonicalizeImpl computes ranks once per state — they
- *  are permutation-invariant — and reuses them for every orbit
- *  image). */
+/** insertMsg's sorted-multiset order: the seq-blind key, then seq
+ *  (equal keys are necessarily on one channel). */
+bool
+msgLess(const Msg &a, const Msg &b)
+{
+    return std::tie(a.type, a.src, a.dst, a.requestor, a.epoch,
+                    a.ackCount, a.hasData, a.data, a.seq) <
+           std::tie(b.type, b.src, b.dst, b.requestor, b.epoch,
+                    b.ackCount, b.hasData, b.data, b.seq);
+}
+
+/** @p id renamed through @p perm (kNoNode stays kNoNode). */
+inline NodeId
+mapId(const NodeId *perm, NodeId id)
+{
+    return id == kNoNode ? kNoNode : perm[static_cast<size_t>(id)];
+}
+
+/** Sharer bitmask renamed through @p perm. */
+inline uint32_t
+mapSharers(const NodeId *perm, uint32_t sharers)
+{
+    uint32_t sh = 0;
+    for (uint32_t bits = sharers; bits != 0; bits &= bits - 1) {
+        sh |= 1u << static_cast<uint32_t>(
+                  perm[static_cast<size_t>(std::countr_zero(bits))]);
+    }
+    return sh;
+}
+
+/**
+ * Pack the image of @p st under a node renaming: block slot k is
+ * st.blocks[pinv[k]] with every node id renamed through perm, and
+ * @p msgs / @p budget are the image's (already renamed and sorted)
+ * message list and budgets. kIdentity packs @p st itself (perm and
+ * pinv unused). Each message's seq is its channel rank (the SysState
+ * invariant), so it is packed as is. The bit layout is documented in
+ * docs/VERIFIER.md.
+ */
+template <bool kIdentity>
 void
-packEncode(const SysState &st, const System &sys, std::string &out,
-           const uint8_t *ranks)
+packImage(const SysState &st, const System &sys, const NodeId *perm,
+          const NodeId *pinv, const Msg *msgs, size_t nm,
+          const uint8_t *budget, std::string &out)
 {
     HG_ASSERT(sys.enc.valid(), "System lacks an encoding layout");
     const EncodingLayout &L = sys.enc;
-    // Pre-size once (4 bytes of flush slack) and write through a raw
+    // Pre-size once (8 bytes of flush slack) and write through a raw
     // pointer; the trailing resize trims to the bytes produced.
-    out.resize(L.maxBytes + st.msgs.size() * 8 + 4);
+    out.resize(L.maxBytes + nm * 8 + 8);
     BitWriter w(out.data());
-    // Adjacent fields are merged into single puts — the bit layout is
-    // identical to emitting them one by one (little-endian, in order).
-    for (const auto &b : st.blocks) {
-        w.put(static_cast<uint64_t>(b.state + 1), L.stateBits);
-        w.put(static_cast<uint64_t>(b.hasData) |
-                  static_cast<uint64_t>(b.data) << 1 |
-                  static_cast<uint64_t>(
-                      static_cast<uint8_t>(b.tbe.ackCtr))
-                      << 9 |
-                  static_cast<uint64_t>(b.tbe.countReceived) << 17,
-              18);
-        w.put(static_cast<uint64_t>(b.tbe.savedRequestor + 1) |
-                  static_cast<uint64_t>(b.tbe.savedLower + 1)
-                      << L.nodeBits,
-              2u * L.nodeBits);
+    const size_t n = st.blocks.size();
+    for (size_t k = 0; k < n; ++k) {
+        const BlockState &b =
+            st.blocks[kIdentity ? k : static_cast<size_t>(pinv[k])];
+        const NodeId savedReq =
+            kIdentity ? b.tbe.savedRequestor
+                      : mapId(perm, b.tbe.savedRequestor);
+        const NodeId savedLower =
+            kIdentity ? b.tbe.savedLower : mapId(perm, b.tbe.savedLower);
+        const uint32_t sharers =
+            kIdentity ? b.sharers : mapSharers(perm, b.sharers);
+        const NodeId owner = kIdentity ? b.owner : mapId(perm, b.owner);
+        // Two puts per block and one per message: merging adjacent
+        // fields leaves the bit layout as emitting them one by one.
+        w.put(static_cast<uint64_t>(b.state + 1) |
+                  (static_cast<uint64_t>(b.hasData) |
+                   static_cast<uint64_t>(b.data) << 1 |
+                   static_cast<uint64_t>(
+                       static_cast<uint8_t>(b.tbe.ackCtr))
+                       << 9 |
+                   static_cast<uint64_t>(b.tbe.countReceived) << 17)
+                      << L.stateBits |
+                  (static_cast<uint64_t>(savedReq + 1) |
+                   static_cast<uint64_t>(savedLower + 1) << L.nodeBits)
+                      << (L.stateBits + 18u),
+              L.blockBitsA());
         w.put(static_cast<uint64_t>(
                   static_cast<uint8_t>(b.tbe.savedAckCount)) |
                   static_cast<uint64_t>(
                       static_cast<uint8_t>(b.tbe.stashedCtr))
                       << 8 |
-                  static_cast<uint64_t>(b.tbe.stashedRecv) << 16,
-              17);
-        w.put(b.sharers, L.sharerBits);
-        w.put(static_cast<uint64_t>(b.owner + 1), L.nodeBits);
+                  static_cast<uint64_t>(b.tbe.stashedRecv) << 16 |
+                  static_cast<uint64_t>(sharers) << 17 |
+                  static_cast<uint64_t>(owner + 1)
+                      << (17u + L.sharerBits),
+              L.blockBitsB());
     }
-    for (size_t i = 0; i < st.msgs.size(); ++i) {
-        const Msg &m = st.msgs[i];
+    for (size_t i = 0; i < nm; ++i) {
+        const Msg &m = msgs[i];
+        const unsigned idBits = L.typeBits + 3u * L.nodeBits;
         w.put(static_cast<uint64_t>(m.type + 1) |
                   static_cast<uint64_t>(m.src + 1) << L.typeBits |
                   static_cast<uint64_t>(m.dst + 1)
                       << (L.typeBits + L.nodeBits) |
                   static_cast<uint64_t>(m.requestor + 1)
-                      << (L.typeBits + 2u * L.nodeBits),
-              L.typeBits + 3u * L.nodeBits);
-        w.put(static_cast<uint64_t>(m.epoch) |
-                  static_cast<uint64_t>(
-                      static_cast<uint8_t>(m.ackCount))
-                      << 2 |
-                  static_cast<uint64_t>(m.hasData) << 10 |
-                  static_cast<uint64_t>(m.data) << 11 |
-                  static_cast<uint64_t>(ranks[i]) << 19,
-              27);
+                      << (L.typeBits + 2u * L.nodeBits) |
+                  (static_cast<uint64_t>(m.epoch) |
+                   static_cast<uint64_t>(
+                       static_cast<uint8_t>(m.ackCount))
+                       << 2 |
+                   static_cast<uint64_t>(m.hasData) << 10 |
+                   static_cast<uint64_t>(m.data) << 11 |
+                   static_cast<uint64_t>(static_cast<uint8_t>(m.seq))
+                       << 19)
+                      << idBits,
+              L.msgBits());
     }
+    const size_t nb = st.budget.size();
     size_t bi = 0;
-    for (; bi + 4 <= st.budget.size(); bi += 4) {
-        w.put(static_cast<uint64_t>(st.budget[bi]) |
-                  static_cast<uint64_t>(st.budget[bi + 1]) << 8 |
-                  static_cast<uint64_t>(st.budget[bi + 2]) << 16 |
-                  static_cast<uint64_t>(st.budget[bi + 3]) << 24,
+    for (; bi + 4 <= nb; bi += 4) {
+        w.put(static_cast<uint64_t>(budget[bi]) |
+                  static_cast<uint64_t>(budget[bi + 1]) << 8 |
+                  static_cast<uint64_t>(budget[bi + 2]) << 16 |
+                  static_cast<uint64_t>(budget[bi + 3]) << 24,
               32);
     }
-    for (; bi < st.budget.size(); ++bi)
-        w.put(st.budget[bi], 8);
+    for (; bi < nb; ++bi)
+        w.put(budget[bi], 8);
     w.put(st.ghost, 8);
     w.flush();
     out.resize(static_cast<size_t>(w.p - out.data()));
@@ -661,43 +703,43 @@ packEncode(const SysState &st, const System &sys, std::string &out,
 } // namespace
 
 void
-SysState::encodeTo(const System &sys, std::string &out,
-                   EncodeScratch &sc) const
+SysState::encodeTo(const System &sys, std::string &out) const
 {
-    computeRanks(msgs, sc.order, sc.ranks);
-    packEncode(*this, sys, out, sc.ranks.data());
+    packImage<true>(*this, sys, nullptr, nullptr, msgs.data(),
+                    msgs.size(), budget.data(), out);
 }
 
 namespace
 {
 
-/** Little-endian bit reader, the inverse of BitWriter. The caller
- *  checks the record length against the layout first. A field is
- *  read from the 8-byte window at its first byte, assembled byte by
- *  byte near the end of the record, so no read leaves
- *  [data, data + len). Fields are at most 57 bits wide. */
+/** Little-endian bit reader, the inverse of BitWriter. Every field
+ *  is one unaligned 8-byte load: from the record itself while eight
+ *  bytes remain, else from a zero-padded copy of the record's last
+ *  eight bytes, so no read leaves [data, data + len). Fields are at
+ *  most 57 bits wide. */
 struct BitReader
 {
     const uint8_t *data;
-    size_t len;
-    uint64_t pos = 0;  ///< bit offset of the next field
+    size_t tailStart;        ///< first byte served from tail
+    uint8_t tail[16] = {};   ///< data[tailStart, len), zero-padded
+    uint64_t pos = 0;        ///< bit offset of the next field
 
-    BitReader(const char *d, size_t n)
-        : data(reinterpret_cast<const uint8_t *>(d)), len(n)
+    BitReader(const char *d, size_t len)
+        : data(reinterpret_cast<const uint8_t *>(d)),
+          tailStart(len >= 8 ? len - 8 : 0)
     {
+        std::memcpy(tail, data + tailStart, len - tailStart);
     }
 
     uint64_t
     get(unsigned bits)
     {
         const size_t byte = static_cast<size_t>(pos >> 3);
-        uint64_t word = 0;
-        if (len - byte >= 8) {
+        uint64_t word;
+        if (byte < tailStart)
             std::memcpy(&word, data + byte, 8);
-        } else {
-            for (size_t i = byte; i < len; ++i)
-                word |= static_cast<uint64_t>(data[i]) << (8 * (i - byte));
-        }
+        else
+            std::memcpy(&word, tail + (byte - tailStart), 8);
         const uint64_t v =
             (word >> (pos & 7)) & ((uint64_t{1} << bits) - 1);
         pos += bits;
@@ -714,12 +756,11 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
     const EncodingLayout &L = sys.enc;
     const auto numNodes = static_cast<NodeId>(sys.nodes.size());
     const size_t numLeaves = sys.leafCaches.size();
-    // The bit widths packEncode() writes: a record is the blocks, the
+    // The bit widths packImage() writes: a record is the blocks, the
     // messages, the budgets and the ghost, padded to whole bytes. A
     // message is wider than a byte, so the length fixes its count.
-    const uint64_t blockBits =
-        L.stateBits + 18u + 3u * L.nodeBits + 17u + L.sharerBits;
-    const uint64_t msgBits = L.typeBits + 3u * L.nodeBits + 27u;
+    const uint64_t blockBits = L.blockBitsA() + L.blockBitsB();
+    const uint64_t msgBits = L.msgBits();
     const uint64_t fixedBits =
         blockBits * sys.nodes.size() + 8 * numLeaves + 8;
     const uint64_t have = uint64_t{len} * 8;
@@ -730,7 +771,7 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
     if ((usedBits + 7) / 8 != len)
         return false;
 
-    // Each get() reads adjacent packEncode() fields at once; ids and
+    // Each get() reads adjacent packImage() fields at once; ids and
     // states are stored as value + 1.
     BitReader r(data, len);
     const uint64_t nodeMask = (uint64_t{1} << L.nodeBits) - 1;
@@ -741,7 +782,7 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
     blocks.resize(sys.nodes.size());
     for (size_t n = 0; n < blocks.size(); ++n) {
         BlockState &b = blocks[n];
-        uint64_t f = r.get(L.stateBits + 18u);
+        uint64_t f = r.get(L.blockBitsA());
         b.state = static_cast<StateId>(
                       f & ((uint64_t{1} << L.stateBits) - 1)) -
                   1;
@@ -750,18 +791,16 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
         b.data = static_cast<uint8_t>(f >> 1);
         b.tbe.ackCtr = static_cast<int8_t>(static_cast<uint8_t>(f >> 9));
         b.tbe.countReceived = (f >> 17) & 1;
-        f = r.get(2u * L.nodeBits + 17u);
-        b.tbe.savedRequestor = nodeId(f);
-        b.tbe.savedLower = nodeId(f >> L.nodeBits);
-        f >>= 2u * L.nodeBits;
+        b.tbe.savedRequestor = nodeId(f >> 18);
+        b.tbe.savedLower = nodeId(f >> (18u + L.nodeBits));
+        f = r.get(L.blockBitsB());
         b.tbe.savedAckCount = static_cast<int8_t>(static_cast<uint8_t>(f));
         b.tbe.stashedCtr =
             static_cast<int8_t>(static_cast<uint8_t>(f >> 8));
         b.tbe.stashedRecv = (f >> 16) & 1;
-        f = r.get(L.sharerBits + L.nodeBits);
         b.sharers = static_cast<uint32_t>(
-            f & ((uint64_t{1} << L.sharerBits) - 1));
-        b.owner = nodeId(f >> L.sharerBits);
+            (f >> 17) & ((uint64_t{1} << L.sharerBits) - 1));
+        b.owner = nodeId(f >> (17u + L.sharerBits));
         ok &= b.state <
                   static_cast<StateId>(sys.nodes[n].machine->numStates()) &&
               b.tbe.savedRequestor < numNodes &&
@@ -770,7 +809,7 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
     msgs.resize(static_cast<size_t>(numMsgs));
     const auto numTypes = static_cast<MsgTypeId>(sys.msgs->size());
     for (Msg &m : msgs) {
-        uint64_t f = r.get(L.typeBits + 3u * L.nodeBits);
+        uint64_t f = r.get(L.msgBits());
         m.type = static_cast<MsgTypeId>(
                      f & ((uint64_t{1} << L.typeBits) - 1)) -
                  1;
@@ -778,7 +817,7 @@ SysState::decodeFrom(const System &sys, const char *data, size_t len)
         m.src = nodeId(f);
         m.dst = nodeId(f >> L.nodeBits);
         m.requestor = nodeId(f >> (2u * L.nodeBits));
-        f = r.get(27);
+        f >>= 3u * L.nodeBits;
         m.epoch = static_cast<FwdEpoch>(f & 3);
         m.ackCount = static_cast<int8_t>(static_cast<uint8_t>(f >> 2));
         m.hasData = (f >> 10) & 1;
@@ -807,265 +846,61 @@ namespace
 {
 
 /**
+ * Message half of an orbit image: copy @p src into @p dst with every
+ * src/dst/requestor renamed through @p perm and the sorted-multiset
+ * order re-established. Seqs are carried over verbatim: a renaming
+ * maps each (src, dst) channel onto another channel wholesale, so
+ * every seq stays its message's channel rank.
+ */
+void
+permuteMsgsInto(const NodeId *perm, const std::vector<Msg> &src,
+                std::vector<Msg> &dst)
+{
+    dst = src;
+    for (Msg &m : dst) {
+        m.src = mapId(perm, m.src);
+        m.dst = mapId(perm, m.dst);
+        m.requestor = mapId(perm, m.requestor);
+    }
+    std::sort(dst.begin(), dst.end(), msgLess);
+}
+
+/** Budget half of an orbit image: leaf li's budget moves to the slot
+ *  of the leaf it is renamed to. */
+void
+permuteBudgetInto(const System &sys, const NodeId *perm,
+                  const std::vector<uint8_t> &src,
+                  std::vector<uint8_t> &dst)
+{
+    dst.resize(src.size());
+    for (size_t li = 0; li < sys.leafCaches.size(); ++li) {
+        NodeId renamed = perm[static_cast<size_t>(sys.leafCaches[li])];
+        dst[static_cast<size_t>(sys.leafIndex[renamed])] = src[li];
+    }
+}
+
+/**
  * Apply a node renaming to a whole state: permute the block and
  * budget slots, rename every NodeId stored inside blocks (owner, TBE
  * requestors, the sharers bitmask) and messages (src/dst/requestor),
- * and re-establish the sorted-multiset message order. Per-channel
- * FIFO seq values are carried over verbatim: a permutation maps each
- * (src, dst) channel onto another channel wholesale, so the relative
- * seq order within every channel — the only thing the encoding's
- * canonical ranks depend on — is preserved. When @p ranks is
- * non-null it holds src's per-message canonical ranks (which are
- * permutation-invariant, by the same argument) and is co-sorted into
- * dst's message order, sparing the caller a recompute per orbit
- * image.
- */
-/**
- * Message half of an orbit image: copy @p src into @p dst with every
- * src/dst/requestor renamed through @p perm and the sorted-multiset
- * order re-established. When @p ranks is non-null it holds the
- * permutation-invariant canonical FIFO ranks in src order and is
- * co-sorted into dst order. Shared by applyPerm() and the early-exit
- * orbit encoder (which materializes messages lazily, only for
- * permutations whose block section has not already lost).
+ * and re-establish the sorted-multiset message order.
  */
 void
-permuteMsgsInto(const std::vector<NodeId> &perm,
-                const std::vector<Msg> &src, std::vector<Msg> &dst,
-                uint8_t *ranks)
+applyPerm(const System &sys, const NodeId *p, const SysState &src,
+          SysState &dst)
 {
-    auto mapId = [&](NodeId id) {
-        return id == kNoNode ? kNoNode : perm[static_cast<size_t>(id)];
-    };
-    dst = src;
-    for (Msg &m : dst) {
-        m.src = mapId(m.src);
-        m.dst = mapId(m.dst);
-        m.requestor = mapId(m.requestor);
-    }
-    // insertMsg's invariant: sorted by the seq-blind key, with equal
-    // keys (necessarily same channel) in seq order.
-    auto msgLess = [](const Msg &a, const Msg &b) {
-        return std::tie(a.type, a.src, a.dst, a.requestor, a.epoch,
-                        a.ackCount, a.hasData, a.data, a.seq) <
-               std::tie(b.type, b.src, b.dst, b.requestor, b.epoch,
-                        b.ackCount, b.hasData, b.data, b.seq);
-    };
-    if (!ranks) {
-        std::sort(dst.begin(), dst.end(), msgLess);
-        return;
-    }
-    // Insertion co-sort of msgs and ranks (message counts are small;
-    // std::sort would use insertion sort at these sizes anyway).
-    for (size_t i = 1; i < dst.size(); ++i) {
-        Msg m = dst[i];
-        uint8_t r = ranks[i];
-        size_t j = i;
-        for (; j > 0 && msgLess(m, dst[j - 1]); --j) {
-            dst[j] = dst[j - 1];
-            ranks[j] = ranks[j - 1];
-        }
-        dst[j] = m;
-        ranks[j] = r;
-    }
-}
-
-void
-applyPerm(const System &sys, const std::vector<NodeId> &perm,
-          const SysState &src, SysState &dst,
-          uint8_t *ranks = nullptr)
-{
-    const size_t n = src.blocks.size();
-    auto mapId = [&](NodeId id) {
-        return id == kNoNode ? kNoNode : perm[static_cast<size_t>(id)];
-    };
-
     dst.ghost = src.ghost;
-    dst.blocks.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        BlockState &b = dst.blocks[static_cast<size_t>(perm[i])];
+    dst.blocks.resize(src.blocks.size());
+    for (size_t i = 0; i < src.blocks.size(); ++i) {
+        BlockState &b = dst.blocks[static_cast<size_t>(p[i])];
         b = src.blocks[i];
-        b.owner = mapId(b.owner);
-        b.tbe.savedRequestor = mapId(b.tbe.savedRequestor);
-        b.tbe.savedLower = mapId(b.tbe.savedLower);
-        uint32_t sh = 0;
-        for (uint32_t bits = b.sharers; bits != 0; bits &= bits - 1) {
-            sh |= 1u << static_cast<uint32_t>(
-                      perm[static_cast<size_t>(std::countr_zero(bits))]);
-        }
-        b.sharers = sh;
+        b.owner = mapId(p, b.owner);
+        b.tbe.savedRequestor = mapId(p, b.tbe.savedRequestor);
+        b.tbe.savedLower = mapId(p, b.tbe.savedLower);
+        b.sharers = mapSharers(p, b.sharers);
     }
-
-    dst.budget.resize(src.budget.size());
-    for (size_t li = 0; li < sys.leafCaches.size(); ++li) {
-        NodeId renamed = perm[static_cast<size_t>(sys.leafCaches[li])];
-        dst.budget[static_cast<size_t>(sys.leafIndex[renamed])] =
-            src.budget[li];
-    }
-
-    permuteMsgsInto(perm, src.msgs, dst.msgs, ranks);
-}
-
-/**
- * BitWriter variant for the orbit walk: writes the candidate encoding
- * while comparing it word-by-word against the reigning best. Every
- * drained 4-byte word is memcmp'd at the same offset until the
- * candidate either wins (strictly smaller byte — comparison stops,
- * writing continues so the full winner is materialized) or loses
- * (strictly larger byte — the caller aborts the permutation without
- * encoding the rest). Candidate and reference encodings of one orbit
- * always have identical length (same block/message/budget counts), so
- * the prefix-wise compare is exactly the std::string operator< the
- * previous implementation used on fully materialized images.
- */
-struct CmpBitWriter
-{
-    char *p;
-    const char *ref;
-    uint64_t acc = 0;
-    unsigned nbits = 0;
-    enum : uint8_t { Tied, Winning, Lost } state = Tied;
-
-    CmpBitWriter(char *dst, const char *best) : p(dst), ref(best) {}
-
-    void
-    put(uint64_t v, unsigned bits)
-    {
-        acc |= (v & ((uint64_t{1} << bits) - 1)) << nbits;
-        nbits += bits;
-        if (nbits >= 32) {
-            uint32_t word = static_cast<uint32_t>(acc);
-            std::memcpy(p, &word, 4);
-            if (state == Tied) {
-                int c = std::memcmp(p, ref, 4);
-                if (c != 0)
-                    state = c < 0 ? Winning : Lost;
-            }
-            p += 4;
-            ref += 4;
-            acc >>= 32;
-            nbits -= 32;
-        }
-    }
-
-    void
-    flush()
-    {
-        uint32_t word = static_cast<uint32_t>(acc);
-        std::memcpy(p, &word, 4);
-        unsigned tail = (nbits + 7) / 8;
-        if (state == Tied && tail != 0) {
-            int c = std::memcmp(p, ref, tail);
-            if (c != 0)
-                state = c < 0 ? Winning : Lost;
-        }
-        p += tail;
-        acc = 0;
-        nbits = 0;
-    }
-
-    bool lost() const { return state == Lost; }
-    bool won() const { return state == Winning; }
-};
-
-/**
- * Encode the image of @p st under @p perm directly from the source
- * state — no materialized SysState copy — into @p w, aborting as soon
- * as the comparison against the current best is lost. Blocks stream
- * straight out of st.blocks via the inverse permutation @p pinv with
- * owner/TBE/sharer renames applied on the fly; most losing
- * permutations die here, within the first block or two. Only if the
- * block section survives are the renamed, re-sorted messages (and the
- * permuted budget) materialized into scratch. The bit layout matches
- * packEncode() field for field, so the produced bytes are identical
- * to encoding applyPerm's image.
- */
-bool
-encodePermImage(const SysState &st, const System &sys,
-                const std::vector<NodeId> &perm,
-                const std::vector<NodeId> &pinv, EncodeScratch &sc,
-                CmpBitWriter &w)
-{
-    const EncodingLayout &L = sys.enc;
-    auto mapId = [&](NodeId id) {
-        return id == kNoNode ? kNoNode : perm[static_cast<size_t>(id)];
-    };
-    const size_t n = st.blocks.size();
-    for (size_t k = 0; k < n; ++k) {
-        const BlockState &b = st.blocks[static_cast<size_t>(pinv[k])];
-        w.put(static_cast<uint64_t>(b.state + 1), L.stateBits);
-        w.put(static_cast<uint64_t>(b.hasData) |
-                  static_cast<uint64_t>(b.data) << 1 |
-                  static_cast<uint64_t>(
-                      static_cast<uint8_t>(b.tbe.ackCtr))
-                      << 9 |
-                  static_cast<uint64_t>(b.tbe.countReceived) << 17,
-              18);
-        w.put(static_cast<uint64_t>(mapId(b.tbe.savedRequestor) + 1) |
-                  static_cast<uint64_t>(mapId(b.tbe.savedLower) + 1)
-                      << L.nodeBits,
-              2u * L.nodeBits);
-        w.put(static_cast<uint64_t>(
-                  static_cast<uint8_t>(b.tbe.savedAckCount)) |
-                  static_cast<uint64_t>(
-                      static_cast<uint8_t>(b.tbe.stashedCtr))
-                      << 8 |
-                  static_cast<uint64_t>(b.tbe.stashedRecv) << 16,
-              17);
-        uint32_t sh = 0;
-        for (uint32_t bits = b.sharers; bits != 0; bits &= bits - 1) {
-            sh |= 1u << static_cast<uint32_t>(
-                      perm[static_cast<size_t>(std::countr_zero(bits))]);
-        }
-        w.put(sh, L.sharerBits);
-        w.put(static_cast<uint64_t>(mapId(b.owner) + 1), L.nodeBits);
-        if (w.lost())
-            return false;
-    }
-
-    sc.candRanks.assign(sc.ranks.begin(), sc.ranks.end());
-    permuteMsgsInto(perm, st.msgs, sc.candMsgs, sc.candRanks.data());
-    for (size_t i = 0; i < sc.candMsgs.size(); ++i) {
-        const Msg &m = sc.candMsgs[i];
-        w.put(static_cast<uint64_t>(m.type + 1) |
-                  static_cast<uint64_t>(m.src + 1) << L.typeBits |
-                  static_cast<uint64_t>(m.dst + 1)
-                      << (L.typeBits + L.nodeBits) |
-                  static_cast<uint64_t>(m.requestor + 1)
-                      << (L.typeBits + 2u * L.nodeBits),
-              L.typeBits + 3u * L.nodeBits);
-        w.put(static_cast<uint64_t>(m.epoch) |
-                  static_cast<uint64_t>(
-                      static_cast<uint8_t>(m.ackCount))
-                      << 2 |
-                  static_cast<uint64_t>(m.hasData) << 10 |
-                  static_cast<uint64_t>(m.data) << 11 |
-                  static_cast<uint64_t>(sc.candRanks[i]) << 19,
-              27);
-        if (w.lost())
-            return false;
-    }
-
-    sc.candBudget.resize(st.budget.size());
-    for (size_t li = 0; li < sys.leafCaches.size(); ++li) {
-        NodeId renamed =
-            perm[static_cast<size_t>(sys.leafCaches[li])];
-        sc.candBudget[static_cast<size_t>(sys.leafIndex[renamed])] =
-            st.budget[li];
-    }
-    size_t bi = 0;
-    for (; bi + 4 <= sc.candBudget.size(); bi += 4) {
-        w.put(static_cast<uint64_t>(sc.candBudget[bi]) |
-                  static_cast<uint64_t>(sc.candBudget[bi + 1]) << 8 |
-                  static_cast<uint64_t>(sc.candBudget[bi + 2]) << 16 |
-                  static_cast<uint64_t>(sc.candBudget[bi + 3]) << 24,
-              32);
-    }
-    for (; bi < sc.candBudget.size(); ++bi)
-        w.put(sc.candBudget[bi], 8);
-    w.put(st.ghost, 8);
-    w.flush();
-    return !w.lost();
+    permuteBudgetInto(sys, p, src.budget, dst.budget);
+    permuteMsgsInto(p, src.msgs, dst.msgs);
 }
 
 /**
@@ -1103,13 +938,175 @@ sortedOrbitPerm(const System &sys, const SysState &st,
     }
 }
 
+/** A block's fields no renaming touches — state, hasData, data,
+ *  ackCtr, countReceived, savedAckCount, stashedCtr, stashedRecv, in
+ *  that order of significance (signed counters as their bytes) — as
+ *  one integer. */
+inline uint64_t
+fixedKey(const BlockState &b)
+{
+    return static_cast<uint64_t>(static_cast<uint32_t>(b.state + 1))
+               << 35 |
+           static_cast<uint64_t>(b.hasData) << 34 |
+           static_cast<uint64_t>(b.data) << 26 |
+           static_cast<uint64_t>(static_cast<uint8_t>(b.tbe.ackCtr))
+               << 18 |
+           static_cast<uint64_t>(b.tbe.countReceived) << 17 |
+           static_cast<uint64_t>(
+               static_cast<uint8_t>(b.tbe.savedAckCount))
+               << 9 |
+           static_cast<uint64_t>(static_cast<uint8_t>(b.tbe.stashedCtr))
+               << 1 |
+           static_cast<uint64_t>(b.tbe.stashedRecv);
+}
+
+/** A block's node-id fields renamed through @p perm, as one integer
+ *  ordered as (savedRequestor, savedLower, owner, sharers). */
+inline uint64_t
+idKey(const BlockState &b, const NodeId *perm)
+{
+    auto id = [&](NodeId n) {
+        return static_cast<uint64_t>(mapId(perm, n) + 1);
+    };
+    return id(b.tbe.savedRequestor) << 56 | id(b.tbe.savedLower) << 48 |
+           id(b.owner) << 40 | mapSharers(perm, b.sharers);
+}
+
+/** Make @p im the image under @p perm (inverse @p pinv); an identity
+ *  image's messages and budgets are the state's own. */
+void
+resetImage(OrbitImage &im, const NodeId *perm, const NodeId *pinv,
+           bool identity = false)
+{
+    im.perm = perm;
+    im.pinv = pinv;
+    im.identity = identity;
+    im.msgsReady = im.budgetReady = false;
+}
+
+const std::vector<Msg> &
+imageMsgs(OrbitImage &im, const SysState &st)
+{
+    if (im.identity)
+        return st.msgs;
+    if (!im.msgsReady)
+        permuteMsgsInto(im.perm, st.msgs, im.msgs);
+    im.msgsReady = true;
+    return im.msgs;
+}
+
+const std::vector<uint8_t> &
+imageBudget(OrbitImage &im, const System &sys, const SysState &st)
+{
+    if (im.identity)
+        return st.budget;
+    if (!im.budgetReady)
+        permuteBudgetInto(sys, im.perm, st.budget, im.budget);
+    im.budgetReady = true;
+    return im.budget;
+}
+
 /**
- * Shared body of canonicalize()/encodeCanonicalTo(): minimize the
- * bit-packed encoding over the precomputed symmetry group. @p encOut
- * receives the canonical (packed) encoding, reusing the encoding the
- * orbit search already computed. @p sc is caller scratch — the
- * checker threads one instance through a whole frontier batch.
+ * Field order on the images of one state, negative when @p a is the
+ * lesser: the fixed block fields slot by slot (@p fixed holds them
+ * for the class members), then the renamed
+ * block fields slot by slot, then the sorted message lists element
+ * by element (msgLess), then the budgets. Ghost bytes are equal
+ * across an orbit. Images that compare equal are the same state, so
+ * their packed encodings are equal.
  */
+int
+compareImages(const System &sys, const SysState &st,
+              const std::vector<uint64_t> &fixed, OrbitImage &a,
+              OrbitImage &b)
+{
+    // A slot outside every class holds the same block in every
+    // image, so only class slots can differ in their fixed fields.
+    for (NodeId k : sys.symMembers) {
+        uint64_t x = fixed[static_cast<size_t>(a.pinv[k])];
+        uint64_t y = fixed[static_cast<size_t>(b.pinv[k])];
+        if (x != y)
+            return x < y ? -1 : 1;
+    }
+    const size_t n = st.blocks.size();
+    for (size_t k = 0; k < n; ++k) {
+        uint64_t x =
+            idKey(st.blocks[static_cast<size_t>(a.pinv[k])], a.perm);
+        uint64_t y =
+            idKey(st.blocks[static_cast<size_t>(b.pinv[k])], b.perm);
+        if (x != y)
+            return x < y ? -1 : 1;
+    }
+    const std::vector<Msg> &am = imageMsgs(a, st);
+    const std::vector<Msg> &bm = imageMsgs(b, st);
+    for (size_t i = 0; i < am.size(); ++i) {
+        if (msgLess(am[i], bm[i]))
+            return -1;
+        if (msgLess(bm[i], am[i]))
+            return 1;
+    }
+    const std::vector<uint8_t> &ab = imageBudget(a, sys, st);
+    const std::vector<uint8_t> &bb = imageBudget(b, sys, st);
+    return std::memcmp(ab.data(), bb.data(), ab.size());
+}
+
+/**
+ * Orbit search: the permutation whose image of @p st is the orbit
+ * representative, or null when that is @p st itself. With the
+ * symmetry group enumerated (sys.symPerms) the representative is the
+ * image least in compareImages() order over the whole group, so
+ * every member of an orbit finds the same one; otherwise it is the
+ * sorted-orbit heuristic's image. On a non-null return
+ * sc.images[sc.best] is the winner (its messages and budgets
+ * possibly not yet materialized).
+ */
+const NodeId *
+findRepresentative(const SysState &st, const System &sys,
+                   EncodeScratch &sc)
+{
+    const size_t n = st.blocks.size();
+    if (sys.symPerms.empty()) {
+        // Orbit too large to enumerate: sorted-orbit heuristic.
+        sc.perm.resize(n);
+        sortedOrbitPerm(sys, st, sc.perm);
+        bool identity = true;
+        for (size_t i = 0; i < n; ++i)
+            identity = identity && sc.perm[i] == static_cast<NodeId>(i);
+        if (identity)
+            return nullptr;
+        sc.pinv.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            sc.pinv[static_cast<size_t>(sc.perm[i])] = static_cast<NodeId>(i);
+        sc.best = 0;
+        resetImage(sc.images[0], sc.perm.data(), sc.pinv.data());
+        return sc.perm.data();
+    }
+    sc.fixed.resize(n);
+    for (NodeId i : sys.symMembers)
+        sc.fixed[static_cast<size_t>(i)] = fixedKey(st.blocks[i]);
+    // The identity competes as an image like any other.
+    if (sc.identity.size() != n) {
+        sc.identity.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            sc.identity[i] = static_cast<NodeId>(i);
+    }
+    sc.best = 0;
+    resetImage(sc.images[0], sc.identity.data(), sc.identity.data(),
+               true);
+    bool bestIsIdentity = true;
+    for (size_t pi = 0; pi < sys.symPerms.size(); ++pi) {
+        OrbitImage &cand = sc.images[1 - sc.best];
+        resetImage(cand, sys.symPerms[pi].data(),
+                   sys.symPermsInv[pi].data());
+        if (compareImages(sys, st, sc.fixed, cand,
+                          sc.images[sc.best]) < 0) {
+            sc.best = 1 - sc.best;
+            bestIsIdentity = false;
+        }
+    }
+    return bestIsIdentity ? nullptr : sc.images[sc.best].perm;
+}
+
 uint64_t
 nowNs()
 {
@@ -1119,83 +1116,8 @@ nowNs()
             .count());
 }
 
-void
-canonicalizeImpl(SysState &st, const System &sys, std::string &encOut,
-                 EncodeScratch &sc)
-{
-    const bool timed = sc.timeSections;
-    uint64_t t0 = timed ? nowNs() : 0;
-
-    if (sys.symClasses.empty()) {
-        st.encodeTo(sys, encOut, sc);
-        if (timed)
-            sc.encodeNs += nowNs() - t0;
-        return;
-    }
-
-    if (sys.symPerms.empty()) {
-        // Orbit too large to enumerate: sorted-orbit heuristic.
-        sc.perm.resize(st.blocks.size());
-        sortedOrbitPerm(sys, st, sc.perm);
-        bool identity = true;
-        for (size_t i = 0; i < sc.perm.size(); ++i)
-            identity = identity && sc.perm[i] == static_cast<NodeId>(i);
-        if (!identity) {
-            applyPerm(sys, sc.perm, st, sc.cand);
-            std::swap(st, sc.cand);
-        }
-        uint64_t t1 = timed ? nowNs() : 0;
-        st.encodeTo(sys, encOut, sc);
-        if (timed) {
-            sc.orbitNs += t1 - t0;
-            sc.encodeNs += nowNs() - t1;
-        }
-        return;
-    }
-
-    // Exact mode: walk the precomputed group, keeping whichever image
-    // encodes lexicographically least. The minimum over the whole
-    // orbit is permutation-invariant, so every member of an orbit
-    // lands on the same representative. Ranks are computed once —
-    // they are invariant across the orbit. Each image is encoded
-    // directly from the source state against the reigning best with
-    // an early-exit compare (encodePermImage): losing permutations
-    // abort within a few blocks and never materialize a state copy,
-    // and only the final winner — if any — is applied to st.
-    computeRanks(st.msgs, sc.order, sc.ranks);
-    packEncode(st, sys, encOut, sc.ranks.data());  // identity baseline
-    uint64_t t1 = timed ? nowNs() : 0;
-    const std::vector<NodeId> *bestPerm = nullptr;
-    sc.pinv.resize(st.blocks.size());
-    for (const auto &perm : sys.symPerms) {
-        for (size_t i = 0; i < perm.size(); ++i)
-            sc.pinv[static_cast<size_t>(perm[i])] =
-                static_cast<NodeId>(i);
-        sc.candEnc.resize(encOut.size() + 4);
-        CmpBitWriter w(sc.candEnc.data(), encOut.data());
-        if (!encodePermImage(st, sys, perm, sc.pinv, sc, w))
-            continue;
-        if (w.won()) {
-            size_t len = static_cast<size_t>(w.p - sc.candEnc.data());
-            HG_ASSERT(len == encOut.size(),
-                      "orbit image length drifted from baseline");
-            sc.candEnc.resize(len);
-            encOut.swap(sc.candEnc);
-            bestPerm = &perm;
-        }
-    }
-    if (bestPerm) {
-        applyPerm(sys, *bestPerm, st, sc.cand);
-        std::swap(st, sc.cand);
-    }
-    if (timed) {
-        sc.encodeNs += t1 - t0;
-        sc.orbitNs += nowNs() - t1;
-    }
-}
-
-/** Per-thread scratch backing the legacy two-argument entry points
- *  (unit tests, non-hot callers). */
+/** Per-thread scratch backing the scratch-less entry points (unit
+ *  tests, traces, non-hot callers). */
 EncodeScratch &
 tlsScratch()
 {
@@ -1209,21 +1131,44 @@ void
 SysState::canonicalize(const System &sys)
 {
     EncodeScratch &sc = tlsScratch();
-    std::string enc;
-    canonicalizeImpl(*this, sys, enc, sc);
+    const NodeId *perm = findRepresentative(*this, sys, sc);
+    if (!perm)
+        return;
+    SysState image;
+    applyPerm(sys, perm, *this, image);
+    *this = std::move(image);
 }
 
 void
-SysState::encodeCanonicalTo(const System &sys, std::string &out)
+SysState::encodeCanonicalTo(const System &sys, std::string &out) const
 {
-    canonicalizeImpl(*this, sys, out, tlsScratch());
+    encodeCanonicalTo(sys, out, tlsScratch());
 }
 
 void
 SysState::encodeCanonicalTo(const System &sys, std::string &out,
-                            EncodeScratch &sc)
+                            EncodeScratch &sc) const
 {
-    canonicalizeImpl(*this, sys, out, sc);
+    const bool timed = sc.timeSections;
+    const uint64_t t0 = timed ? nowNs() : 0;
+    const NodeId *perm =
+        sys.symClasses.empty() ? nullptr
+                               : findRepresentative(*this, sys, sc);
+    const uint64_t t1 = timed ? nowNs() : 0;
+    if (!perm) {
+        packImage<true>(*this, sys, nullptr, nullptr, msgs.data(),
+                        msgs.size(), budget.data(), out);
+    } else {
+        OrbitImage &w = sc.images[sc.best];
+        const std::vector<Msg> &m = imageMsgs(w, *this);
+        packImage<false>(*this, sys, perm, w.pinv, m.data(),
+                         m.size(), imageBudget(w, sys, *this).data(),
+                         out);
+    }
+    if (timed) {
+        sc.orbitNs += t1 - t0;
+        sc.encodeNs += nowNs() - t1;
+    }
 }
 
 bool

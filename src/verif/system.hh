@@ -36,6 +36,14 @@ struct EncodingLayout
     uint32_t maxBytes = 0;   ///< upper bound on a zero-message encoding
 
     bool valid() const { return nodeBits != 0; }
+
+    /** A block's first packed field group: state, the data and ack
+     *  flags, and the two TBE node refs. */
+    unsigned blockBitsA() const { return stateBits + 18u + 2u * nodeBits; }
+    /** A block's second group: the stashed ack state, sharers, owner. */
+    unsigned blockBitsB() const { return 17u + sharerBits + nodeBits; }
+    /** One message. */
+    unsigned msgBits() const { return typeBits + 3u * nodeBits + 27u; }
 };
 
 /** Static system description shared by every explored state. */
@@ -43,6 +51,9 @@ struct System
 {
     const MsgTypeTable *msgs = nullptr;
     std::vector<NodeCtx> nodes;
+    /** The nodes' compiled transition tables (NodeCtx::dispatch),
+     *  built once per System; shared, immutable. */
+    std::vector<std::shared_ptr<const DispatchTable>> dispatch;
     std::vector<NodeId> leafCaches;  ///< SWMR/data-value participants
 
     /**
@@ -58,6 +69,9 @@ struct System
      * checked property, because all members share one Machine.
      */
     std::vector<std::vector<NodeId>> symClasses;
+    /** Every member of every symmetry class, ascending: the only
+     *  block slots a renaming moves. */
+    std::vector<NodeId> symMembers;
 
     /** node id -> index into leafCaches (-1 for non-leaf nodes). */
     std::vector<int32_t> leafIndex;
@@ -75,6 +89,8 @@ struct System
      * per-state next_permutation odometer from the hot loop.
      */
     std::vector<std::vector<NodeId>> symPerms;
+    /** symPermsInv[i] is the inverse of symPerms[i]. */
+    std::vector<std::vector<NodeId>> symPermsInv;
 
     NodeId
     dirCacheNode() const
@@ -99,19 +115,29 @@ System buildHierSystem(const HierProtocol &p, int num_cache_h,
 
 struct EncodeScratch;
 
-/** One explored global state. */
+/**
+ * One explored global state.
+ *
+ * Invariant: every message's seq is its rank within its (src, dst)
+ * channel — 0 for the oldest, then 1, 2, ... insertMsg(),
+ * removeMsg(), assignWithoutMsg() and the renamings of the orbit
+ * search keep it; decodeFrom() and deserialize() establish it; a
+ * state built by hand calls normalizeSeqs(). The encodings pack seq
+ * as the rank, so states that differ only in send history encode
+ * alike.
+ */
 struct SysState
 {
     /**
-     * Exact round-trip serialization (unlike the dedup encodings,
-     * which canonicalize FIFO seqs away). Append to @p out; the
-     * format is the checkpoint frontier-entry layout
-     * (verif/checkpoint.cc).
+     * Exact round-trip serialization of an invariant-holding state.
+     * Append to @p out; the format is the checkpoint frontier-entry
+     * layout (verif/checkpoint.cc).
      */
     static void serialize(std::string &out, const SysState &st);
 
     /** Parse one serialized state from data[pos..size), advancing
-     *  @p pos. False (with pos unspecified) on truncation. */
+     *  @p pos, and normalizeSeqs() it. False (with pos unspecified)
+     *  on truncation. */
     static bool deserialize(const char *data, size_t size,
                             size_t &pos, SysState &st);
 
@@ -122,6 +148,10 @@ struct SysState
 
     void insertMsg(const Msg &m);
     void removeMsg(size_t index);
+
+    /** Establish the seq == rank invariant: renumber each message's
+     *  seq to its rank within its channel (relative order kept). */
+    void normalizeSeqs();
 
     /**
      * Become a copy of @p src minus src.msgs[index], in one pass.
@@ -146,9 +176,10 @@ struct SysState
 
     /**
      * Portable byte encoding (fixed 16 bytes/block, 10 bytes/msg).
-     * Injective over states, system-independent — kept as the
+     * Injective over invariant-holding states, system-independent —
+     * kept as the
      * diagnostic / unit-test path. The checker's hot loop uses the
-     * bit-packed encodeTo(sys, out, scratch) overload instead, which
+     * bit-packed encodeTo(sys, out) overload instead, which
      * defines the same equality classes in ~2.5x fewer bytes.
      */
     std::string encode() const;
@@ -160,80 +191,86 @@ struct SysState
     /**
      * Bit-packed encoding using sys.enc field widths: the dedup/hash
      * representation the checker and checkpoints store. Injective
-     * over states of @p sys (see docs/VERIFIER.md for the proof
-     * sketch); NOT portable across different Systems. @p sc supplies
-     * reusable rank-computation scratch.
+     * over invariant-holding states of @p sys (see docs/VERIFIER.md
+     * for the proof sketch); NOT portable across different Systems.
      */
-    void encodeTo(const System &sys, std::string &out,
-                  EncodeScratch &sc) const;
+    void encodeTo(const System &sys, std::string &out) const;
 
     /**
      * Inverse of the packed encodeTo(sys, ...): become the state that
      * @p data[0, len) encodes, reusing this state's vector capacity.
-     * The encoding keeps each message's rank within its (src, dst)
-     * channel, not its send-history seq, so the decoded seq is that
-     * rank and addr is 0. Every reader of seq compares values within
-     * one channel, so the decoded state explores exactly as the
-     * encoded one. False (the state is then unspecified) when @p len
-     * is not the length of a record of @p sys, a node, state or type
-     * field is out of range, or the padding bits are not zero.
+     * The decoded seq is the packed channel rank and addr is 0, so
+     * the decoded state explores exactly as the encoded one. False
+     * (the state is then unspecified) when @p len is not the length
+     * of a record of @p sys, a node, state or type field is out of
+     * range, or the padding bits are not zero.
      */
     bool decodeFrom(const System &sys, const char *data, size_t len);
 
     /**
      * Symmetry reduction: replace *this with the representative of
      * its orbit under sys.symClasses — for small orbit products the
-     * lexicographically least encoding over all permutations of each
-     * symmetry class, for large classes a sorted-orbit heuristic
-     * (members ordered by a local signature). Two states related by
-     * any class permutation canonicalize to the same representative
-     * under full enumeration; the heuristic is still sound (the
-     * result is always a reachable permutation image) but may keep
-     * more than one representative per orbit. No-op when symClasses
-     * is empty.
+     * image least in field order over every permutation of each
+     * symmetry class (see docs/VERIFIER.md), for large classes a
+     * sorted-orbit heuristic (members ordered by a local signature).
+     * Two states related by any class permutation canonicalize to
+     * the same representative under full enumeration; the heuristic
+     * is still sound (the result is always a reachable permutation
+     * image) but may keep more than one representative per orbit.
+     * No-op when symClasses is empty.
      */
     void canonicalize(const System &sys);
 
-    /** Canonical variant of encodeTo(): canonicalize() in place,
-     *  then encode (bit-packed). The state *is* mutated (it becomes
-     *  the orbit representative), which is what the checker
-     *  stores/expands. */
-    void encodeCanonicalTo(const System &sys, std::string &out);
+    /** Canonical variant of encodeTo(): the packed encoding of the
+     *  representative canonicalize() would make, without changing
+     *  this state — only the winning image is packed. */
+    void encodeCanonicalTo(const System &sys, std::string &out) const;
 
     /** Scratch-threading variant for the checker's frontier loop:
      *  same result as the two-argument overload but reuses @p sc
      *  across a whole expansion batch. */
     void encodeCanonicalTo(const System &sys, std::string &out,
-                           EncodeScratch &sc);
+                           EncodeScratch &sc) const;
 
     /** All controllers stable and no messages in flight. */
     bool quiescent(const System &sys) const;
 };
 
 /**
- * Caller-owned scratch for the packed encode / canonicalize hot
- * path. The checker keeps one per worker and threads it through a
- * whole frontier batch, so orbit enumeration reuses the same
- * permutation vector, candidate states and encoding buffers across
+ * One image of a state under the orbit search: the renaming @p perm,
+ * its inverse, and the image's message list and budgets, which are
+ * materialized only when a comparison gets that far.
+ */
+struct OrbitImage
+{
+    const NodeId *perm = nullptr;
+    const NodeId *pinv = nullptr;
+    std::vector<Msg> msgs;
+    std::vector<uint8_t> budget;
+    bool identity = false;  ///< msgs/budget are the state's own
+    bool msgsReady = false, budgetReady = false;
+};
+
+/**
+ * Caller-owned scratch for the canonical encode hot path. The
+ * checker keeps one per worker and threads it through a whole
+ * frontier batch, so the orbit search reuses the same vectors across
  * every successor instead of re-resolving thread-locals (and
  * reallocating) per call.
  */
 struct EncodeScratch
 {
-    std::vector<uint32_t> order;  ///< FIFO-rank sort scratch
-    std::vector<uint8_t> ranks;   ///< canonical per-channel ranks
-    std::vector<uint8_t> candRanks;  ///< ranks co-sorted per image
-    std::vector<NodeId> perm;     ///< fallback permutation scratch
-    std::vector<NodeId> pinv;     ///< inverse of the current orbit perm
-    SysState cand;                ///< winner materialization scratch
-    std::vector<Msg> candMsgs;    ///< lazily permuted message image
-    std::vector<uint8_t> candBudget;  ///< permuted budget image
-    std::string candEnc;          ///< candidate orbit encoding
+    std::vector<uint64_t> fixed;    ///< class members' rename-free keys
+    std::vector<NodeId> identity;   ///< the identity renaming
+    std::vector<NodeId> perm;       ///< sorted-orbit fallback renaming
+    std::vector<NodeId> pinv;       ///< ... and its inverse
+    OrbitImage images[2];           ///< the reigning and the next image
+    unsigned best = 0;              ///< index of the reigning image
 
     /**
      * Sampled phase attribution: when timeSections is set, the next
-     * canonicalize call adds the identity-encode nanoseconds to
-     * encodeNs and the orbit-walk nanoseconds to orbitNs. The checker
+     * encodeCanonicalTo call adds the orbit search's nanoseconds to
+     * orbitNs and packing the winner's to encodeNs. The checker
      * flips the flag on sampled calls only and reads/resets the
      * accumulators, so unsampled calls pay one predictable branch.
      */

@@ -18,6 +18,7 @@
 #include "protocols/registry.hh"
 #include "seeded_bugs.hh"
 #include "verif/checker.hh"
+#include "param_names.hh"
 
 namespace hieragen
 {
@@ -118,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, HierParity,
     ::testing::Combine(::testing::ValuesIn(kCombos),
                        ::testing::Values(ConcurrencyMode::Stalling,
-                                         ConcurrencyMode::NonStalling)));
+                                         ConcurrencyMode::NonStalling)),
+    testnames::comboMode);
 
 TEST(ParallelMechanics, StateLimitExact)
 {

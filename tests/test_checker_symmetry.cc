@@ -20,6 +20,7 @@
 #include "protocols/registry.hh"
 #include "seeded_bugs.hh"
 #include "verif/checker.hh"
+#include "param_names.hh"
 
 namespace hieragen
 {
@@ -287,7 +288,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, HierSymmetryParity,
     ::testing::Combine(::testing::ValuesIn(kCombos),
                        ::testing::Values(ConcurrencyMode::Stalling,
-                                         ConcurrencyMode::NonStalling)));
+                                         ConcurrencyMode::NonStalling)),
+    testnames::comboMode);
 
 // ---------------------------------------------------------------
 // Buggy protocols: the counterexample must survive reduction.

@@ -29,6 +29,7 @@
 #include "api/hieragen.hh"
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "util/fileio.hh"
 #include "verif/checker.hh"
 #include "verif/checkpoint.hh"
 
@@ -222,6 +223,72 @@ TEST(CheckpointFormat, CorruptAndTruncatedRejected)
     EXPECT_TRUE(io.ok) << io.error;
 }
 
+TEST(CheckpointFormat, VersionThreeRefusedByName)
+{
+    // A v3 checkpoint as the previous format sealed it (FNV-1a over
+    // everything before the trailer): its fingerprints and stored
+    // representatives are not this build's, so the reader refuses it
+    // by version before it looks at the seal.
+    Protocol p = protocols::builtinProtocol("MSI");
+    std::string path = tmpPath("v3.ckpt");
+    partialRun(p, smallOpts(), 300, path);
+    std::string raw = slurp(path);
+    ASSERT_GT(raw.size(), 20u);
+    raw[8] = 3;  // u32 version, little-endian, after the 8-byte magic
+    raw[9] = raw[10] = raw[11] = 0;
+    uint64_t sum = util::fnv1a64(raw.data(), raw.size() - 8);
+    for (size_t i = 0; i < 8; ++i)
+        raw[raw.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+    spew(path, raw);
+
+    verif::CheckpointData data;
+    auto io = verif::CheckpointReader().read(path, data);
+    EXPECT_FALSE(io.ok);
+    EXPECT_NE(io.error.find("format version 3; this build reads 4"),
+              std::string::npos)
+        << io.error;
+}
+
+TEST(CheckpointFormat, StoredStatesKeepSeqAsRank)
+{
+    // Every visited record the engine stores decodes to a state whose
+    // seqs are channel ranks: the packer writes seq as is, so a seq
+    // that was not its rank would decode unchanged and fail here.
+    core::HierGenOptions g;
+    g.mode = ConcurrencyMode::NonStalling;
+    HierProtocol p = core::generate(protocols::builtinProtocol("MSI"),
+                                    protocols::builtinProtocol("MSI"), g);
+    verif::CheckOptions o;
+    o.numThreads = 1;
+    o.maxStates = 20000;
+    std::string path = tmpPath("ranks.ckpt");
+    o.checkpointPath = path;
+    auto r = verif::checkHier(p, 2, 1, o);
+    ASSERT_EQ(r.errorKind, hieragen::ErrorKind::StateLimit)
+        << r.summary();
+    verif::CheckpointData data;
+    ASSERT_TRUE(verif::CheckpointReader().read(path, data).ok);
+    verif::System sys = verif::buildHierSystem(p, 2, 1);
+    size_t withMsgs = 0;
+    for (const std::string &enc : data.visitedExact) {
+        verif::SysState st;
+        ASSERT_TRUE(st.decodeFrom(sys, enc.data(), enc.size()));
+        withMsgs += !st.msgs.empty();
+        for (const Msg &m : st.msgs) {
+            int32_t rank = 0, same = 0;
+            for (const Msg &o2 : st.msgs) {
+                bool chan = o2.src == m.src && o2.dst == m.dst;
+                rank += chan && o2.seq < m.seq;
+                same += chan && o2.seq == m.seq;
+            }
+            ASSERT_EQ(m.seq, rank);
+            ASSERT_EQ(same, 1);
+        }
+    }
+    EXPECT_GT(withMsgs, 1000u);
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointFormat, OptionAndSystemMismatchRefused)
 {
     Protocol p = protocols::builtinProtocol("MSI");
@@ -274,9 +341,10 @@ TEST(CheckpointFormat, OptionAndSystemMismatchRefused)
 TEST(CheckpointFormat, UnreducedCheckpointsFromBeforePorRemovalResume)
 {
     // Default options fingerprint exactly as they did while the
-    // partial-order-reduction bit existed and was off, so those v3
-    // checkpoints still resume. One written with reduction on (the
-    // old default) holds a reduced visited set and must be refused.
+    // partial-order-reduction bit existed and was off (journals keep
+    // the value as the run identity). A checkpoint written with
+    // reduction on (the old default) holds a reduced visited set and
+    // must be refused.
     constexpr uint64_t kPorOff = 0xb0e1f54a5683c255ull;
     constexpr uint64_t kPorOn = 0xc1ea7d0053ba4654ull;
     verif::CheckOptions o;

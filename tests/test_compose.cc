@@ -9,6 +9,7 @@
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
 #include "verif/checker.hh"
+#include "param_names.hh"
 
 namespace hieragen
 {
@@ -77,7 +78,7 @@ TEST_P(AtomicHier, VerifiesWithTwoAndTwo)
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, AtomicHier,
-                         ::testing::ValuesIn(kCombos));
+                         ::testing::ValuesIn(kCombos), testnames::combo);
 
 TEST(ComposeStructure, DirCacheStatesArePairs)
 {

@@ -81,6 +81,19 @@ struct Fixture
         node.parent = 0;
         node.leafCache = true;
     }
+
+    /** node, with the transitions the test added compiled into its
+     *  dispatch table. */
+    const NodeCtx &
+    compiled()
+    {
+        std::vector<NodeCtx> nodes{node};
+        tables = compileDispatch(nodes, msgs);
+        node = nodes[0];
+        return node;
+    }
+
+    std::vector<std::shared_ptr<const DispatchTable>> tables;
 };
 
 TEST(ExecGuards, AckArithmetic)
@@ -150,7 +163,7 @@ TEST(ExecOps, MulticastExcludesRequestor)
     req.dst = 1;
 
     CaptureEnv env;
-    auto r = deliverMsg(f.node, f.msgs, b, req, env);
+    auto r = deliverMsg(f.compiled(), f.msgs, b, req, env);
     EXPECT_EQ(r, StepResult::Executed);
     ASSERT_EQ(env.sent.size(), 2u);  // nodes 2 and 4, not 3
     for (const Msg &m : env.sent) {
@@ -178,7 +191,7 @@ TEST(ExecOps, AckCountFromSharers)
     req.src = 3;
 
     CaptureEnv env;
-    deliverMsg(f.node, f.msgs, b, req, env);
+    deliverMsg(f.compiled(), f.msgs, b, req, env);
     ASSERT_EQ(env.sent.size(), 1u);
     EXPECT_EQ(env.sent[0].ackCount, 1);  // node 5 only
     EXPECT_TRUE(env.sent[0].hasData);
@@ -200,7 +213,7 @@ TEST(ExecOps, SendWithoutDataIsError)
     req.type = f.gets;
     req.src = 3;
     CaptureEnv env;
-    auto r = deliverMsg(f.node, f.msgs, b, req, env);
+    auto r = deliverMsg(f.compiled(), f.msgs, b, req, env);
     EXPECT_EQ(r, StepResult::Error);
     EXPECT_FALSE(env.errors.empty());
 }
@@ -222,7 +235,7 @@ TEST(ExecOps, TbeResetOnStableEntry)
     msg.hasData = true;
     msg.data = 5;
     CaptureEnv env;
-    deliverMsg(f.node, f.msgs, b, msg, env);
+    deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(b.state, f.sS);
     EXPECT_EQ(b.tbe.ackCtr, 0);
     EXPECT_EQ(b.tbe.savedRequestor, kNoNode);
@@ -244,7 +257,7 @@ TEST(ExecOps, EpochFallbackLookup)
     msg.type = f.inv;
     msg.epoch = FwdEpoch::Past;
     CaptureEnv env;
-    auto r = deliverMsg(f.node, f.msgs, b, msg, env);
+    auto r = deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(r, StepResult::Executed);
     EXPECT_EQ(b.state, f.sI);
 }
@@ -266,7 +279,7 @@ TEST(ExecOps, ExactEpochPreferredOverFallback)
     msg.type = f.inv;
     msg.epoch = FwdEpoch::Past;
     CaptureEnv env;
-    deliverMsg(f.node, f.msgs, b, msg, env);
+    deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(b.state, f.sS) << "exact epoch entry must win";
 }
 
@@ -278,7 +291,7 @@ TEST(ExecOps, UnexpectedEventIsError)
     Msg msg;
     msg.type = f.inv;
     CaptureEnv env;
-    auto r = deliverMsg(f.node, f.msgs, b, msg, env);
+    auto r = deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(r, StepResult::Error);
     ASSERT_EQ(env.errors.size(), 1u);
     EXPECT_NE(env.errors[0].find("unexpected"), std::string::npos);
@@ -298,7 +311,7 @@ TEST(ExecOps, StallLeavesStateUntouched)
     Msg msg;
     msg.type = f.inv;
     CaptureEnv env;
-    auto r = deliverMsg(f.node, f.msgs, b, msg, env);
+    auto r = deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(r, StepResult::Stalled);
     EXPECT_EQ(b.tbe.ackCtr, 3);
     EXPECT_TRUE(env.sent.empty());
@@ -324,7 +337,7 @@ TEST(ExecOps, GuardedAlternativesFirstMatchWins)
     msg.ackCount = 2;
     msg.hasData = true;
     CaptureEnv env;
-    deliverMsg(f.node, f.msgs, b, msg, env);
+    deliverMsg(f.compiled(), f.msgs, b, msg, env);
     EXPECT_EQ(b.state, f.sT);
     EXPECT_EQ(b.tbe.ackCtr, 2);
     EXPECT_TRUE(b.tbe.countReceived);

@@ -9,6 +9,7 @@
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
 #include "verif/checker.hh"
+#include "param_names.hh"
 
 namespace hieragen
 {
@@ -70,7 +71,8 @@ INSTANTIATE_TEST_SUITE_P(
     Table3, HierConcurrent,
     ::testing::Combine(::testing::ValuesIn(kCombos),
                        ::testing::Values(ConcurrencyMode::Stalling,
-                                         ConcurrencyMode::NonStalling)));
+                                         ConcurrencyMode::NonStalling)),
+    testnames::comboMode);
 
 TEST(HierConcurrentShape, MoreStatesThanAtomicDirCache)
 {

@@ -26,12 +26,16 @@
 #include <vector>
 
 #include "api/hieragen.hh"
+#include "core/hiera.hh"
+#include "protocols/registry.hh"
 #include "svc/cache.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
 #include "svc/json.hh"
 #include "svc/proto.hh"
 #include "util/errors.hh"
+#include "util/fileio.hh"
+#include "verif/checker.hh"
 
 namespace hieragen
 {
@@ -584,6 +588,93 @@ TEST(Daemon, RestartRecoversTerminalJobs)
     ASSERT_TRUE(c.result(api::JobHandle{jobId}, false, fin,
                          resultJson));
     EXPECT_FALSE(resultJson.empty());  // replayed from the state dir
+    d2.stop();
+}
+
+TEST(Daemon, OldFormatCheckpointRunsFresh)
+{
+    // A job interrupted under an older build left a checkpoint this
+    // build refuses by version. The restarted daemon drops it and
+    // runs the job from scratch to the uninterrupted verdict.
+    StateDir dir("oldckpt");
+    svc::ServeOptions so;
+    so.socketPath = sockPath("oldckpt");
+    so.stateDir = dir.path;
+    uint64_t jobId = 0, states = 0;
+    {
+        svc::Daemon d(so);
+        ASSERT_TRUE(d.start()) << d.error();
+        svc::Client c;
+        ASSERT_TRUE(c.connect(so.socketPath));
+        api::JobHandle id;
+        ASSERT_TRUE(c.submit(smallSpec(), id));
+        api::JobStatus st;
+        ASSERT_TRUE(waitTerminal(c, id, st));
+        ASSERT_EQ(st.state, api::JobState::Done);
+        jobId = id.id;
+        states = st.statesExplored;
+        d.stop();
+    }
+
+    // Rewind the job to mid-flight, next to a v3 checkpoint sealed
+    // the way that format was (FNV-1a).
+    const std::string stem = dir.path + "/job-" + std::to_string(jobId);
+    std::string record;
+    ASSERT_TRUE(util::readFileToString(stem + ".json", record));
+    const std::string done = "\"state\":\"done\"";
+    size_t at = record.find(done);
+    ASSERT_NE(at, std::string::npos) << record;
+    record.replace(at, done.size(), "\"state\":\"running\"");
+    {
+        util::AtomicFileWriter w;
+        ASSERT_TRUE(w.open(stem + ".json") && w.append(record) &&
+                    w.commit());
+    }
+    std::remove((stem + ".result.json").c_str());
+    const std::string ckpt = stem + ".ckpt";
+    {
+        core::HierGenOptions g;
+        g.mode = ConcurrencyMode::NonStalling;
+        HierProtocol p = core::generate(protocols::builtinProtocol("MSI"),
+                                        protocols::builtinProtocol("MSI"),
+                                        g);
+        verif::CheckOptions o;
+        o.numThreads = 1;
+        o.maxStates = 300;
+        o.checkpointPath = ckpt;
+        verif::checkHier(p, 1, 1, o);
+    }
+    std::string raw;
+    ASSERT_TRUE(util::readFileToString(ckpt, raw));
+    ASSERT_GT(raw.size(), 20u);
+    raw[8] = 3;  // u32 version after the 8-byte magic
+    raw[9] = raw[10] = raw[11] = 0;
+    uint64_t sum = util::fnv1a64(raw.data(), raw.size() - 8);
+    for (size_t i = 0; i < 8; ++i)
+        raw[raw.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+    {
+        util::AtomicFileWriter w;
+        ASSERT_TRUE(w.open(ckpt) && w.append(raw) && w.commit());
+    }
+
+    svc::Daemon d2(so);
+    ASSERT_TRUE(d2.start()) << d2.error();
+    svc::Client c;
+    ASSERT_TRUE(c.connect(so.socketPath));
+    api::JobStatus st;
+    ASSERT_TRUE(waitTerminal(c, api::JobHandle{jobId}, st));
+    EXPECT_EQ(st.state, api::JobState::Done);
+    EXPECT_TRUE(st.verifyOk);
+    EXPECT_EQ(st.statesExplored, states);
+    std::string metrics =
+        rawCall(so.socketPath, "metrics", /*toEof=*/true);
+    svc::JsonValue m;
+    ASSERT_TRUE(svc::parseJson(metrics, m)) << metrics;
+    const svc::JsonValue *counters = m.find("counters");
+    ASSERT_TRUE(counters != nullptr) << metrics;
+    EXPECT_EQ(counters->uint("svc.jobs_resumed"), 0u) << metrics;
+    struct stat sb{};
+    EXPECT_NE(::stat(ckpt.c_str(), &sb), 0) << "old checkpoint kept";
     d2.stop();
 }
 

@@ -346,7 +346,7 @@ TEST(SpillRefusal, CorruptedSegmentRefusedOnResume)
     ASSERT_FALSE(data.visitedSegments.empty());
 
     // Flip one payload byte in the first referenced segment; the
-    // FNV-1a seal no longer matches and adoption must refuse.
+    // seal no longer matches and adoption must refuse.
     const std::string &victim = data.visitedSegments.front().path;
     std::fstream f(victim,
                    std::ios::binary | std::ios::in | std::ios::out);
@@ -746,9 +746,44 @@ TEST(SpillFrontier, AdoptedSegmentsReplayTheirRecords)
 
 TEST(SpillFrontier, VersionOneSegmentRefused)
 {
-    // A v1 frontier segment (serialized states) with a valid seal.
-    std::string path = tmpPath("v1-frontier.seg");
-    std::string img = "HGSPILLQ";
+    // A v1 frontier segment (serialized states) and a v2 one (the
+    // FNV-1a seal), each sealed as its format was: both are refused
+    // by version.
+    for (uint32_t version : {1u, 2u}) {
+        std::string path = tmpPath("old-frontier.seg");
+        std::string img = "HGSPILLQ";
+        auto put = [&](uint64_t v, int bytes) {
+            for (int i = 0; i < bytes; ++i)
+                img.push_back(static_cast<char>(v >> (8 * i)));
+        };
+        put(version, 4);
+        put(0, 8);  // states
+        put(0, 8);  // payload bytes
+        uint64_t sum = util::fnv1a64(img.data(), img.size());
+        put(sum, 8);
+        std::ofstream(path, std::ios::binary) << img;
+
+        verif::SpillSegmentRef ref;
+        ref.path = path;
+        ref.bytes = img.size();
+        ref.checksum = sum;
+        verif::SpillableFrontier q;
+        std::string err;
+        EXPECT_FALSE(q.adoptSegment(ref, &err));
+        EXPECT_NE(err.find("format version " + std::to_string(version)),
+                  std::string::npos)
+            << err;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(SpillTierFormat, VersionOneVisitedSegmentRefused)
+{
+    // A v1 visited segment holds FNV-1a fingerprints under an FNV-1a
+    // seal; adopting it would probe with the wrong fingerprints, so
+    // it is refused by version.
+    std::string path = tmpPath("v1-visited.seg");
+    std::string img = "HGSPILL1";
     auto put = [&](uint64_t v, int bytes) {
         for (int i = 0; i < bytes; ++i)
             img.push_back(static_cast<char>(v >> (8 * i)));
@@ -764,10 +799,13 @@ TEST(SpillFrontier, VersionOneSegmentRefused)
     ref.path = path;
     ref.bytes = img.size();
     ref.checksum = sum;
-    verif::SpillableFrontier q;
+    verif::SpillTier tier;
+    tier.configure(testing::TempDir(), "v1");
     std::string err;
-    EXPECT_FALSE(q.adoptSegment(ref, &err));
-    EXPECT_NE(err.find("format version"), std::string::npos) << err;
+    EXPECT_FALSE(tier.adoptSegment(ref, &err));
+    EXPECT_NE(err.find("format version 1; this build reads 2"),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 

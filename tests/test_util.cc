@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "util/fileio.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/unixsock.hh"
@@ -93,6 +94,53 @@ tmpFile(const std::string &name)
 {
     return testing::TempDir() + std::to_string(::getpid()) + ".util." +
            name;
+}
+
+TEST(Hash64, StreamingEqualsOneShotAtEverySplit)
+{
+    // Segment and checkpoint writers seal with Hasher64 in whatever
+    // pieces their buffers flush; readers check with hash64 or with a
+    // Hasher64 fed in other pieces. All must agree.
+    std::string data;
+    for (int i = 0; i < 61; ++i)
+        data.push_back(static_cast<char>(i * 37 + 11));
+    for (size_t len = 0; len <= data.size(); ++len) {
+        const uint64_t want = util::hash64(data.data(), len, 7);
+        for (size_t a = 0; a <= len; ++a) {
+            for (size_t b = a; b <= len; b += 3) {
+                util::Hasher64 h(7);
+                h.update(data.data(), a);
+                h.update(data.data() + a, b - a);
+                h.update(data.data() + b, len - b);
+                ASSERT_EQ(h.digest(), want) << len << " " << a << " " << b;
+            }
+        }
+    }
+}
+
+TEST(Hash64, SeedLengthAndEveryBitMatter)
+{
+    std::string zeros(16, '\0');
+    EXPECT_NE(util::hash64(zeros.data(), 15), util::hash64(zeros.data(), 16));
+    EXPECT_NE(util::hash64(zeros.data(), 16, 0),
+              util::hash64(zeros.data(), 16, 1));
+    // Full avalanche, roughly: flipping any one input bit flips about
+    // half of the output bits, the low ones (the shard index) too.
+    std::string msg = "hieragen-state-fingerprint-avalanche!";
+    const uint64_t base = util::hash64(msg.data(), msg.size());
+    int total = 0, lowFlips = 0, n = 0;
+    for (size_t i = 0; i < msg.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string m = msg;
+            m[i] = static_cast<char>(m[i] ^ (1 << bit));
+            const uint64_t d = base ^ util::hash64(m.data(), m.size());
+            total += __builtin_popcountll(d);
+            lowFlips += static_cast<int>(d & 1);
+            ++n;
+        }
+    }
+    EXPECT_NEAR(static_cast<double>(total) / n, 32.0, 2.0);
+    EXPECT_NEAR(static_cast<double>(lowFlips) / n, 0.5, 0.1);
 }
 
 TEST(ReadFile, BinaryFileWithNulBytesRoundTrips)

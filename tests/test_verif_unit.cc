@@ -184,8 +184,8 @@ class WalkEnv : public ExecEnv
 };
 
 /** @p n states met along seeded random walks from the initial state
- *  (a walk restarts at a state with no successor). Their seqs are
- *  send-history values, not channel ranks. */
+ *  (a walk restarts at a state with no successor), made by the
+ *  successor functions the engine uses. */
 std::vector<verif::SysState>
 walkStates(const verif::System &sys, unsigned seed, size_t n)
 {
@@ -257,11 +257,10 @@ void
 expectRoundTrip(const verif::System &sys, const verif::SysState &src,
                 const std::string &enc, const std::string &what)
 {
-    verif::EncodeScratch esc;
     verif::SysState d;
     ASSERT_TRUE(d.decodeFrom(sys, enc.data(), enc.size())) << what;
     std::string again;
-    d.encodeTo(sys, again, esc);
+    d.encodeTo(sys, again);
     EXPECT_EQ(again, enc) << what;
     EXPECT_EQ(d.blocks, src.blocks) << what;
     EXPECT_EQ(d.budget, src.budget) << what;
@@ -279,25 +278,56 @@ expectRoundTrip(const verif::System &sys, const verif::SysState &src,
     EXPECT_FALSE(d.decodeFrom(sys, longer.data(), longer.size())) << what;
 }
 
-/** Round-trip every walk state through both packed encodings. */
+/** Round-trip every walk state through both packed encodings, and
+ *  the same states with send-history seqs through normalizeSeqs()
+ *  and deserialize(). */
 void
 checkDecoder(const verif::System &sys, const std::string &what)
 {
     verif::EncodeScratch esc;
-    std::string enc;
+    std::string enc, canonEnc;
     size_t renumbered = 0;
     for (const verif::SysState &st : walkStates(sys, 7, 400)) {
-        st.encodeTo(sys, enc, esc);
-        expectRoundTrip(sys, st, enc, what + " plain");
-        verif::SysState canon = st;
-        canon.encodeCanonicalTo(sys, enc, esc);
-        expectRoundTrip(sys, canon, enc, what + " canonical");
+        // The successor functions keep every seq its channel rank.
         for (size_t i = 0; i < st.msgs.size(); ++i)
-            renumbered += channelRank(st, i) != st.msgs[i].seq;
+            ASSERT_EQ(st.msgs[i].seq, channelRank(st, i)) << what;
+        st.encodeTo(sys, enc);
+        expectRoundTrip(sys, st, enc, what + " plain");
+
+        // The canonical encoding packs the representative that
+        // canonicalize() makes in place.
+        verif::SysState canon = st;
+        canon.canonicalize(sys);
+        st.encodeCanonicalTo(sys, canonEnc, esc);
+        expectRoundTrip(sys, canon, canonEnc, what + " canonical");
+
+        // A state built by hand, whose seqs are send-history values
+        // rather than ranks, encodes (once normalized) and
+        // deserializes with ranks.
+        verif::SysState hand = st;
+        for (Msg &m : hand.msgs)
+            m.seq = 3 * m.seq + 5;
+        for (size_t i = 0; i < hand.msgs.size(); ++i)
+            renumbered += channelRank(hand, i) != hand.msgs[i].seq;
+        verif::SysState norm = hand;
+        norm.normalizeSeqs();
+        norm.encodeTo(sys, enc);
+        expectRoundTrip(sys, hand, enc, what + " normalized");
+        std::string ser;
+        verif::SysState::serialize(ser, hand);
+        verif::SysState back;
+        size_t pos = 0;
+        ASSERT_TRUE(verif::SysState::deserialize(ser.data(), ser.size(),
+                                                 pos, back))
+            << what;
+        ASSERT_EQ(back.msgs.size(), hand.msgs.size()) << what;
+        for (size_t i = 0; i < back.msgs.size(); ++i)
+            EXPECT_EQ(back.msgs[i].seq, channelRank(hand, i)) << what;
         if (testing::Test::HasFailure())
             return;
     }
-    // The walks must reach messages whose seq is not their rank.
+    // The hand-built states must hold messages whose seq is not their
+    // rank.
     EXPECT_GT(renumbered, 0u) << what;
 }
 
@@ -339,9 +369,8 @@ TEST(VerifDecode, RejectsShortAndMalformedRecords)
     EXPECT_FALSE(d.decodeFrom(f.sys, "", 0));
     EXPECT_FALSE(d.decodeFrom(f.sys, "\x01", 1));
     // An all-ones record of a valid length holds out-of-range ids.
-    verif::EncodeScratch esc;
     std::string enc;
-    verif::initialState(f.sys, 2).encodeTo(f.sys, enc, esc);
+    verif::initialState(f.sys, 2).encodeTo(f.sys, enc);
     std::string ones(enc.size(), '\xff');
     EXPECT_FALSE(d.decodeFrom(f.sys, ones.data(), ones.size()));
 }
